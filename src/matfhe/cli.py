@@ -32,8 +32,11 @@ class _ParamError(Exception):
     """Invalid command parameters (exit code 2)."""
 
 
-def _check_bits(bits):
-    if bits < 8 or bits % 2:
+def _check_modulus_args(args):
+    """The --m and --lambda checks every key-generating command makes."""
+    if args.m < 1:
+        raise _ParamError("--m must be >= 1")
+    if args.bits < 8 or args.bits % 2:
         raise _ParamError("--lambda must be an even number >= 8")
 
 
@@ -48,9 +51,7 @@ def _parse_int_csv(text, what):
 
 
 def cmd_keygen(args):
-    if args.m < 1:
-        raise _ParamError("--m must be >= 1")
-    _check_bits(args.bits)
+    _check_modulus_args(args)
     rng = random.Random(args.seed)
     gen = keygen4 if args.dim == 4 else keygen8
     key = gen(args.m, args.bits, rng)
@@ -102,9 +103,7 @@ def cmd_eval(args):
 
 
 def cmd_protocol_demo(args):
-    if args.m < 1:
-        raise _ParamError("--m must be >= 1")
-    _check_bits(args.bits)
+    _check_modulus_args(args)
     data = _parse_int_csv(args.data, "--data")
     rng = random.Random(args.seed)
     keyset = keyset_gen(4, 3, args.m, args.bits, rng)
@@ -138,9 +137,7 @@ def cmd_analyze_invertibility(args):
 def cmd_analyze_kpa(args):
     if args.trials < 1:
         raise _ParamError("--trials must be >= 1")
-    if args.m < 1:
-        raise _ParamError("--m must be >= 1")
-    _check_bits(args.bits)
+    _check_modulus_args(args)
     rng = random.Random(args.seed)
     candidates = _parse_int_csv(args.factors, "--factors") if args.factors else None
     key = keygen4(args.m, args.bits, rng, candidates=candidates)
@@ -184,9 +181,7 @@ def _median_call_time(fn, fn_args, calls, reps):
 
 
 def cmd_bench(args):
-    if args.m < 1:
-        raise _ParamError("--m must be >= 1")
-    _check_bits(args.bits)
+    _check_modulus_args(args)
     rng = random.Random(args.seed)
     key = keygen4(args.m, args.bits, rng)
     n = key.modulus.n

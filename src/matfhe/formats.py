@@ -9,7 +9,7 @@ ciphertext files carry only the public modulus N.
 """
 
 from .cipher import Ciphertext
-from .keys import KeySet, KeyTuple
+from .keys import KEY_DIMS, KeySet, KeyTuple
 from .matrix import Matrix
 from .ring import RingModulus
 
@@ -95,6 +95,20 @@ def _read_modulus(reader, secret):
     return m, bits, f, n
 
 
+def _read_key_header(reader):
+    """The secret modulus and the key dimension opening key and key set
+    files, each checked as the file is read."""
+    m, bits, f, n = _read_modulus(reader, secret=True)
+    try:
+        modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
+    except ValueError as err:
+        raise MalformedFileError(str(err)) from err
+    dim = _parse_int(reader.next_field("dim"), "dim")
+    if dim not in KEY_DIMS:
+        raise MalformedFileError(f"bad key dimension {dim}")
+    return modulus, dim
+
+
 def serialize_key(key):
     lines = [f"MATFHE-KEY {_VERSION}"]
     lines += _modulus_lines(key.modulus, secret=True)
@@ -106,14 +120,8 @@ def serialize_key(key):
 
 def parse_key(text):
     reader = _LineReader(text, "KEY")
-    m, bits, f, n = _read_modulus(reader, secret=True)
-    try:
-        modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
-    except ValueError as err:
-        raise MalformedFileError(str(err)) from err
-    dim = _parse_int(reader.next_field("dim"), "dim")
-    if dim not in (4, 8):
-        raise MalformedFileError(f"bad key dimension {dim}")
+    modulus, dim = _read_key_header(reader)
+    n = modulus.n
     k = matrix_from_text(reader.next_field("k"), dim, n)
     k_inv = matrix_from_text(reader.next_field("kinv"), dim, n)
     reader.finish()
@@ -158,12 +166,8 @@ def serialize_keyset(keyset):
 
 def parse_keyset(text):
     reader = _LineReader(text, "KEYSET")
-    m, bits, f, n = _read_modulus(reader, secret=True)
-    try:
-        modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
-    except ValueError as err:
-        raise MalformedFileError(str(err)) from err
-    dim = _parse_int(reader.next_field("dim"), "dim")
+    modulus, dim = _read_key_header(reader)
+    n = modulus.n
     count = _parse_int(reader.next_field("l"), "l")
     if count < 2:
         raise MalformedFileError("key set needs at least two components")

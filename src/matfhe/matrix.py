@@ -175,57 +175,51 @@ def mat_mul(a, b):
         for row in rows for col in cols))
 
 
-def _det_cofactor(rows):
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    sign = 1
-    for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        total += sign * rows[0][j] * _det_cofactor(minor)
-        sign = -sign
-    return total
+def _bareiss(m):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968), in place.
 
+    m is a list of d integer rows, each of width d (a matrix alone) or 2d
+    (a matrix augmented with the identity). Pivot k clears column k from
+    every other row, above and below, and updates only the columns right
+    of k, the ones later pivots read. Every division is exact: each
+    numerator x*p - c*y is the previous pivot times a (k+1)x(k+1) minor of
+    the input (Sylvester's identity). Elimination needs no inverses, so it
+    runs over the integers rather than mod N, where composite N cannot
+    always provide a unit pivot.
 
-def _det_bareiss(rows):
-    # Fraction-free elimination over the integers; every division is exact.
-    d = len(rows)
-    m = [list(row) for row in rows]
+    Returns the determinant of the leading d x d block, 0 when that block
+    is singular over Z (m is then left part-way). Otherwise the leading
+    block ends diagonal, and any trailing block as p times its product
+    with the inverse of the leading block, where p = m[d-1][d-1] is the
+    last pivot: p = +det or -det, by the parity of the row swaps.
+    """
+    d = len(m)
     sign = 1
     prev = 1
-    for k in range(d - 1):
+    for k in range(d):
         if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, d) if m[i][k] != 0), None)
+            swap = next((i for i in range(k + 1, d) if m[i][k]), None)
             if swap is None:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
-
-
-def _det_int(rows):
-    """Determinant of an integer matrix, exact over Z.
-
-    Cofactor expansion through dim 4, Bareiss above that. Bareiss runs over
-    the integers rather than mod N because its exact divisions need no
-    inverses there; composite N cannot always provide them.
-    """
-    if len(rows) <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+        pivot_row = m[k]
+        p = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for i in range(d):
+            if i != k:
+                row = m[i]
+                c = row[k]
+                row[k + 1:] = [(x * p - c * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+                row[k] = 0
+        prev = p
+    return sign * prev
 
 
 def determinant(a):
     """det(a) reduced mod the matrix modulus."""
-    return _det_int([list(r) for r in a.rows()]) % a.modulus
+    return _bareiss([list(r) for r in a.rows()]) % a.modulus
 
 
 def is_invertible(a):
@@ -237,23 +231,21 @@ def is_invertible(a):
 
 
 def inverse(a):
-    """Inverse via the adjugate. Raises NotInvertibleError (from
-    mod_inverse) when the determinant shares a factor with the modulus."""
+    """Inverse by one fraction-free Gauss-Jordan pass on [a | I].
+
+    The pass leaves p*a^-1 on the right, with p = +det or -det its last
+    pivot, so the right block times p^-1 mod N is the inverse.
+    Raises NotInvertibleError (from mod_inverse) when the determinant shares
+    a factor with the modulus; the error carries det mod N, not p.
+    """
     n = a.modulus
     d = a.dim
-    det_inv = mod_inverse(determinant(a), n)
-    rows = a.rows()
-    out = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [[rows[r][c] for c in range(d) if c != j]
-                     for r in range(d) if r != i]
-            cof = _det_int(minor)
-            if (i + j) % 2:
-                cof = -cof
-            # adjugate transposes the cofactor grid
-            out[j][i] = (cof * det_inv) % n
-    return Matrix(d, n, tuple(v for row in out for v in row))
+    m = [list(row) + [int(i == j) for j in range(d)]
+         for i, row in enumerate(a.rows())]
+    det = _bareiss(m)
+    det_inv = mod_inverse(det, n)
+    p_inv = det_inv if m[d - 1][d - 1] == det else -det_inv
+    return Matrix(d, n, tuple(x * p_inv % n for row in m for x in row[d:]))
 
 
 def random_invertible(dim, modulus, rng, max_rerolls=1000):

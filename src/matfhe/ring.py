@@ -28,28 +28,15 @@ class GenerationError(RuntimeError):
     """Randomized generation exhausted its retry budget."""
 
 
-def egcd(a, b):
-    """Extended gcd: returns (g, s, t) with a*s + b*t == g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a, n):
     """Inverse of a mod n, or NotInvertibleError carrying gcd(a, n)."""
     if n <= 1:
         raise ValueError("modulus must be > 1")
     a %= n
-    g, s, _ = egcd(a, n)
+    g = math.gcd(a, n)
     if g != 1:
         raise NotInvertibleError(a, n, g)
-    return s % n
+    return pow(a, -1, n)
 
 
 def crt_solve(residues):

@@ -315,6 +315,13 @@ def test_malformed_keyset_rejected():
         parse_keyset(mutate_line(text, "l=", "l=3"))
     with pytest.raises(MalformedFileError, match="bad l"):
         parse_keyset(mutate_line(text, "l=", "l=x"))
+    # A dimension outside the key dimensions is refused as a file error,
+    # even when every matrix line holds the entries that dimension needs.
+    small = mutate_line(text, "dim=", "dim=2")
+    for name in ("k", "kinv", "k1", "kinv1", "k2", "kinv2"):
+        small = mutate_line(small, name + "=", name + "=1,0,0,1")
+    with pytest.raises(MalformedFileError, match="bad key dimension 2"):
+        parse_keyset(small)
     # Dropping the last component line leaves the reader starved.
     truncated = "\n".join(text[:-1].split("\n")[:-1]) + "\n"
     with pytest.raises(MalformedFileError, match="unexpected end"):

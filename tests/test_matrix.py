@@ -1,10 +1,10 @@
 """Matrix arithmetic over Z_N.
 
 The determinant oracle is an independent permutation-sum implementation
-(sum over S_d of sign * product), so the cofactor and Bareiss paths are
-checked against something that shares no code with them. Invertibility
-facts are checked exhaustively where the space allows (all 1296 2x2
-matrices mod 6).
+(sum over S_d of sign * product), so the elimination behind determinant
+and inverse is checked against something that shares no code with it.
+Invertibility facts are checked exhaustively where the space allows (all
+1296 2x2 matrices mod 6).
 """
 
 import itertools
@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from matfhe.matrix import (ALLOWED_DIMS, Matrix, MismatchError,
-                           _det_bareiss, _det_cofactor, determinant,
+from matfhe.matrix import (ALLOWED_DIMS, Matrix, MismatchError, determinant,
                            diagonal, identity, inverse, is_invertible,
                            mat_add, mat_mul, mat_sub, random_invertible)
 from matfhe.ring import GenerationError, NotInvertibleError
@@ -142,14 +141,6 @@ class TestDeterminant:
             m = random_matrix(8, N, rng)
             assert determinant(m) == det_permutation_sum(m.rows()) % N
 
-    def test_bareiss_agrees_with_cofactor_over_z(self):
-        rng = random.Random(17)
-        for dim in (2, 3, 4):
-            for _ in range(100):
-                rows = [[rng.randrange(-50, 50) for _ in range(dim)]
-                        for _ in range(dim)]
-                assert _det_bareiss(rows) == _det_cofactor(rows)
-
     def test_bareiss_handles_zero_pivots(self):
         rows = [[0, 1, 0, 0, 0, 0, 0, 0],
                 [1, 0, 0, 0, 0, 0, 0, 0],
@@ -159,9 +150,11 @@ class TestDeterminant:
                 [0, 0, 0, 0, 0, 1, 0, 0],
                 [0, 0, 0, 0, 0, 0, 0, 1],
                 [0, 0, 0, 0, 0, 0, 1, 0]]
-        assert _det_bareiss(rows) == 1
+        perm = Matrix.from_rows(rows, N)
+        assert determinant(perm) == 1
+        assert inverse(perm) == Matrix.from_rows(list(zip(*rows)), N)
         rows[1] = [0, 1, 0, 0, 0, 0, 0, 0]
-        assert _det_bareiss(rows) == 0
+        assert determinant(Matrix.from_rows(rows, N)) == 0
 
     def test_determinant_is_multiplicative(self):
         rng = random.Random(19)
@@ -179,14 +172,23 @@ class TestInvertibility:
     def test_exhaustive_2x2_mod_6(self):
         # Over Z_6 the invertible 2x2 matrices can be counted outright:
         # 288 of 1296. Also checks the gcd criterion against a direct
-        # search for a two-sided inverse on a sample of the space.
+        # search for a two-sided inverse on a sample of the space, and
+        # inverse on every matrix: a true inverse, or an error carrying
+        # det mod 6 (not -det) and its gcd with 6.
         count = 0
+        e = identity(2, 6)
         for entries in itertools.product(range(6), repeat=4):
             m = Matrix(2, 6, entries)
             det = (entries[0] * entries[3] - entries[1] * entries[2]) % 6
             assert is_invertible(m) == (math.gcd(det, 6) == 1)
             if is_invertible(m):
                 count += 1
+                assert m * inverse(m) == e
+            else:
+                with pytest.raises(NotInvertibleError) as info:
+                    inverse(m)
+                assert info.value.value == det
+                assert info.value.gcd == math.gcd(det, 6)
         assert count == 288
 
     def test_gcd_criterion_matches_inverse_existence(self):
@@ -199,8 +201,11 @@ class TestInvertibility:
                 assert m * inv == e
                 assert inv * m == e
             else:
-                with pytest.raises(NotInvertibleError):
+                with pytest.raises(NotInvertibleError) as info:
                     inverse(m)
+                err = info.value
+                assert err.value == determinant(m)
+                assert err.gcd == math.gcd(err.value, N)
 
     def test_pinned_inverse_pair(self):
         assert inverse(Matrix(4, N, KA.entries)) == KA_INV

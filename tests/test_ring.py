@@ -12,23 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matfhe.ring import (GenerationError, NonCoprimeModuliError,
-                         NotInvertibleError, RingModulus, crt_solve, egcd,
+                         NotInvertibleError, RingModulus, crt_solve,
                          generate_coprime_set, mod_inverse)
-
-
-class TestEgcd:
-    def test_bezout_identity_on_pinned_pairs(self):
-        for a, b in [(12, 8), (21, 55), (1, 1), (0, 7), (1155, 257)]:
-            g, s, t = egcd(a, b)
-            assert g == math.gcd(a, b)
-            assert a * s + b * t == g
-
-    @given(st.integers(min_value=0, max_value=10**12),
-           st.integers(min_value=1, max_value=10**12))
-    def test_bezout_identity(self, a, b):
-        g, s, t = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * s + b * t == g
 
 
 class TestModInverse:
