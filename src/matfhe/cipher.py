@@ -10,8 +10,7 @@ products.
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, diagonal, mat_mul
-from .ring import crt_solve
+from .matrix import Matrix, _check_pair, mat_mul
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,22 @@ def sample_enc8_randomness(x, modulus, rng):
     return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
 
 
+def _fold(rows, modulus):
+    """Slot j is sum(rows[i][j] * e_i) mod n: row i's entry j mod each f_i."""
+    e = modulus.crt_basis
+    return tuple(sum(v * b for v, b in zip(c, e, strict=True)) % modulus.n
+                 for c in zip(*rows))
+
+
 def encryption_diagonal(x, modulus, rnd):
     """The enc4 diagonal (x, x1, x2, x3) before conjugation.
 
-    Column j of the stacked base rows is folded with crt_solve against the
-    f_i, so x_j agrees with row i's entry j mod each f_i.
+    Row c of [[x, r, r], [r, x, r], [r, r, x]] is chosen per factor, and
+    the stacked rows are folded column by column through the CRT basis.
     """
     r = rnd.r
     base = ((x, r, r), (r, x, r), (r, r, x))
-    rows = [base[c - 1] for c in rnd.row_choices]
-    cols = [crt_solve([(rows[i][j] % modulus.f[i], modulus.f[i])
-                       for i in range(modulus.m)])
-            for j in range(3)]
-    return (x, cols[0], cols[1], cols[2])
+    return (x,) + _fold([base[c - 1] for c in rnd.row_choices], modulus)
 
 
 def _check_plaintext(x, modulus):
@@ -116,8 +118,17 @@ def _check_plaintext(x, modulus):
         raise ValueError(f"plaintext must lie in [0, {modulus.n})")
 
 
+def _conjugate_diagonal(diag, key):
+    """k_inv * diag(diag) * k: k_inv's column j scaled by diag[j], times k."""
+    n = key.modulus.n
+    k_inv = key.k_inv
+    scaled = tuple(v * s % n for r in k_inv.rows() for v, s in zip(r, diag))
+    return Ciphertext(mat_mul(Matrix(k_inv.dim, n, scaled), key.k))
+
+
 def enc4(x, key, rnd):
-    """Encrypt x under a dim 4 key as k_inv * diag(x, x1, x2, x3) * k.
+    """Encrypt x under a dim 4 key as k_inv * diag(x, x1, x2, x3) * k,
+    k_inv with its columns scaled by the diagonal, times k.
 
     rnd is either an Enc4Randomness (deterministic, for reproducibility)
     or an rng to sample fresh coins from.
@@ -132,8 +143,7 @@ def enc4(x, key, rnd):
         raise ValueError("blind r must lie in [0, n) and differ from x")
     if len(rnd.row_choices) != modulus.m:
         raise ValueError("need one row choice per factor")
-    diag = diagonal(encryption_diagonal(x, modulus, rnd), modulus.n)
-    return Ciphertext(mat_mul(mat_mul(key.k_inv, diag), key.k))
+    return _conjugate_diagonal(encryption_diagonal(x, modulus, rnd), key)
 
 
 def enc8(x, key, rnd):
@@ -152,13 +162,8 @@ def enc8(x, key, rnd):
     if len(rnd.rows) != modulus.m:
         raise ValueError("need one arrangement per factor")
     values = {"x": x, "r1": rnd.r1, "r2": rnd.r2}
-    diag = [x]
-    for j in range(7):
-        diag.append(crt_solve([(values[rnd.rows[i][j]] % modulus.f[i],
-                                modulus.f[i])
-                               for i in range(modulus.m)]))
-    body = mat_mul(mat_mul(key.k_inv, diagonal(tuple(diag), modulus.n)), key.k)
-    return Ciphertext(body)
+    rows = [[values[slot] for slot in row] for row in rnd.rows]
+    return _conjugate_diagonal((x,) + _fold(rows, modulus), key)
 
 
 def encrypt_value(x, key, rng):
@@ -167,12 +172,20 @@ def encrypt_value(x, key, rng):
 
 
 def dec(ct, key):
-    """Recover the plaintext: top-left entry of k * C * k_inv.
+    """Recover the plaintext: the top-left entry of k * C * k_inv.
 
-    Nothing about the recovered diagonal is validated; decrypting with the
-    wrong key silently yields an arbitrary value.
+    Only that entry is computed: row 0 of k times C, then its dot product
+    with column 0 of k_inv, dim^2 + dim multiplications in all. A
+    ciphertext whose dim or modulus differs from the key's raises
+    MismatchError. Nothing about the recovered diagonal is validated;
+    decrypting with the wrong key silently yields an arbitrary value.
     """
-    return dec_diagonal(ct, key)[0]
+    k = key.k
+    _check_pair(k, ct.body)
+    n, d, c = k.modulus, k.dim, ct.body.entries
+    top = [sum(x * y for x, y in zip(k.entries[:d], c[j::d])) % n
+           for j in range(d)]
+    return sum(x * y for x, y in zip(top, key.k_inv.entries[::d])) % n
 
 
 def dec_diagonal(ct, key):

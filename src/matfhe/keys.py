@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, identity, inverse, mat_mul, random_invertible
+from .matrix import Matrix, identity, inverse, mat_mul, random_invertible_pair
 from .ring import GenerationError, RingModulus, generate_coprime_set
 
 KEY_DIMS = (4, 8)
@@ -55,7 +55,7 @@ class KeySet:
 
 
 class _EntryStream:
-    """Feeds fixed values to random_invertible, for deterministic tests."""
+    """Feeds fixed values to the matrix draw, for deterministic tests."""
 
     def __init__(self, values):
         self._it = iter(values)
@@ -75,8 +75,7 @@ def key_tuple_from_matrix(modulus, k):
 def _keygen(dim, m, bits, rng, candidates=None, entries=None):
     modulus = generate_coprime_set(m, bits, rng, candidates=candidates)
     source = _EntryStream(entries) if entries is not None else rng
-    k = random_invertible(dim, modulus.n, source)
-    return key_tuple_from_matrix(modulus, k)
+    return KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, source))
 
 
 def keygen4(m, bits, rng=None, candidates=None, entries=None):
@@ -104,10 +103,8 @@ def keyset_gen(dim, count, m, bits, rng):
     if count < 2:
         raise ValueError("need at least two component keys")
     modulus = generate_coprime_set(m, bits, rng)
-    components = []
-    for _ in range(count):
-        components.append(
-            key_tuple_from_matrix(modulus, random_invertible(dim, modulus.n, rng)))
+    components = [KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
+                  for _ in range(count)]
     product = components[0].k
     for kt in components[1:]:
         product = mat_mul(product, kt.k)

@@ -8,7 +8,7 @@ the determinant, not mere nonzero-ness.
 
 import math
 
-from .ring import GenerationError, mod_inverse
+from .ring import GenerationError, NotInvertibleError, mod_inverse
 
 ALLOWED_DIMS = (2, 3, 4, 8)
 
@@ -248,6 +248,9 @@ def inverse(a):
     return Matrix(d, n, tuple(x * p_inv % n for row in m for x in row[d:]))
 
 
+_SCREEN_FAILED = "screened matrix failed the determinant test"
+
+
 def random_invertible(dim, modulus, rng, max_rerolls=1000):
     """Random invertible matrix mod modulus.
 
@@ -258,6 +261,23 @@ def random_invertible(dim, modulus, rng, max_rerolls=1000):
     search would keep), so the determinant test still runs on the final
     matrix as ground truth.
     """
+    mat = _screened_matrix(dim, modulus, rng, max_rerolls)
+    if not is_invertible(mat):
+        raise GenerationError(_SCREEN_FAILED)
+    return mat
+
+
+def random_invertible_pair(dim, modulus, rng):
+    """random_invertible with its inverse; inverse is the determinant test."""
+    mat = _screened_matrix(dim, modulus, rng)
+    try:
+        return mat, inverse(mat)
+    except NotInvertibleError:
+        raise GenerationError(_SCREEN_FAILED) from None
+
+
+def _screened_matrix(dim, modulus, rng, max_rerolls=1000):
+    """The row-screened draw of random_invertible, before its final test."""
     if dim not in ALLOWED_DIMS:
         raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
     if modulus <= 1:
@@ -284,7 +304,4 @@ def random_invertible(dim, modulus, rng, max_rerolls=1000):
         inv = mod_inverse(reduced[pivot], n)
         echelon.append((pivot, [(x * inv) % n for x in reduced]))
         rows.append(row)
-    mat = Matrix(dim, n, tuple(v % n for row in rows for v in row))
-    if not is_invertible(mat):
-        raise GenerationError("screened matrix failed the determinant test")
-    return mat
+    return Matrix(dim, n, tuple(v % n for row in rows for v in row))

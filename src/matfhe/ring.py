@@ -8,6 +8,7 @@ and the Chinese remainder fold reassembles a value from its residues.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NotInvertibleError(ValueError):
@@ -112,6 +113,13 @@ class RingModulus:
     @property
     def has_split(self):
         return self.p is not None
+
+    @cached_property
+    def crt_basis(self):
+        """CRT idempotents e_i, 1 mod f_i and 0 mod every other f_j: the
+        value with residues r_i mod f_i is sum(r_i * e_i) mod n."""
+        return tuple((self.n // f) * pow(self.n // f, -1, f) % self.n
+                     for f in self.f)
 
 
 def generate_coprime_set(m, bits, rng=None, candidates=None):

@@ -1,0 +1,188 @@
+"""Fast paths against their slow oracles.
+
+Encryption folds each diagonal slot through the modulus's cached CRT
+basis and scales the columns of k_inv instead of multiplying by a
+diagonal matrix; decryption computes only the top-left entry of
+k * C * k_inv. Each property below pits one of these against the
+straightforward computation it replaces: crt_solve per slot, two full
+matrix products, and the full recovered diagonal.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
+                           dec_diagonal, enc4, enc8, encryption_diagonal,
+                           lock, sample_enc4_randomness,
+                           sample_enc8_randomness)
+from matfhe.formats import parse_key, serialize_key
+from matfhe.keys import KeyTuple, keygen4, keygen8
+from matfhe import matrix
+from matfhe.matrix import (Matrix, MismatchError, diagonal, inverse, mat_mul,
+                           random_invertible, random_invertible_pair)
+from matfhe.ring import GenerationError, crt_solve
+
+from known_answers import MOD
+
+KEYGEN = {4: keygen4, 8: keygen8}
+
+cases = st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((4, 8)),
+                  st.sampled_from((16, 64, 256)),
+                  st.integers(min_value=0, max_value=2**32))
+fast = settings(max_examples=30, deadline=None)
+
+
+def make_key(m, dim, bits, seed):
+    rng = random.Random(seed)
+    return KEYGEN[dim](m, bits, rng), rng
+
+
+def crt_solve_fold(rows, modulus):
+    """Slot j of the per-factor rows, by one crt_solve per slot."""
+    return tuple(crt_solve([(row[j] % f, f) for row, f in zip(rows, modulus.f)])
+                 for j in range(len(rows[0])))
+
+
+def oracle_diagonal(x, modulus, rnd):
+    """The encryption diagonal for enc4 or enc8 coins, by crt_solve."""
+    if isinstance(rnd, Enc4Randomness):
+        r = rnd.r
+        base = ((x, r, r), (r, x, r), (r, r, x))
+        rows = [base[c - 1] for c in rnd.row_choices]
+    else:
+        values = {"x": x, "r1": rnd.r1, "r2": rnd.r2}
+        rows = [[values[slot] for slot in row] for row in rnd.rows]
+    return (x,) + crt_solve_fold(rows, modulus)
+
+
+def fresh(key, rng):
+    """A random plaintext, coins for it, and its ciphertext under key."""
+    modulus = key.modulus
+    x = rng.randrange(modulus.n)
+    if key.dim == 4:
+        rnd = sample_enc4_randomness(x, modulus, rng)
+        return x, rnd, enc4(x, key, rnd)
+    rnd = sample_enc8_randomness(x, modulus, rng)
+    return x, rnd, enc8(x, key, rnd)
+
+
+class TestCrtBasis:
+    def test_pinned_basis(self):
+        # N = 1155 = 21 * 55: 715 = 1 mod 21 and 0 mod 55, 441 the reverse.
+        assert MOD.crt_basis == (715, 441)
+
+    def test_basis_is_computed_once(self):
+        assert MOD.crt_basis is MOD.crt_basis
+
+    @fast
+    @given(cases)
+    def test_idempotents_are_kronecker_delta(self, case):
+        key, _ = make_key(*case)
+        parsed = parse_key(serialize_key(key)).modulus
+        assert not parsed.has_split
+        for modulus in (key.modulus, parsed):
+            basis = modulus.crt_basis
+            assert len(basis) == modulus.m
+            for i, e in enumerate(basis):
+                assert 0 <= e < modulus.n
+                for j, f in enumerate(modulus.f):
+                    assert e % f == (1 if i == j else 0)
+        assert parsed.crt_basis == key.modulus.crt_basis
+
+    @fast
+    @given(cases)
+    def test_basis_fold_equals_crt_solve_fold(self, case):
+        key, rng = make_key(*case)
+        x, rnd, ct = fresh(key, rng)
+        expected = oracle_diagonal(x, key.modulus, rnd)
+        if key.dim == 4:
+            assert encryption_diagonal(x, key.modulus, rnd) == expected
+        assert dec_diagonal(ct, key) == expected
+
+    def test_fold_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            encryption_diagonal(5, MOD, Enc4Randomness(r=7, row_choices=(1,)))
+
+
+class TestColumnScaledEncryption:
+    @fast
+    @given(cases)
+    def test_body_equals_two_full_products(self, case):
+        key, rng = make_key(*case)
+        x, rnd, ct = fresh(key, rng)
+        d = diagonal(oracle_diagonal(x, key.modulus, rnd), key.modulus.n)
+        assert ct.body == mat_mul(mat_mul(key.k_inv, d), key.k)
+
+    def test_enc8_pinned_arrangement(self):
+        key = keygen8(2, 16, random.Random(3))
+        rows = (("x", "r1", "r1", "r1", "r2", "r2", "r2"),
+                ("r2", "r2", "r2", "x", "r1", "r1", "r1"))
+        rnd = Enc8Randomness(r1=10, r2=20, rows=rows)
+        d = diagonal(oracle_diagonal(7, key.modulus, rnd), key.modulus.n)
+        assert enc8(7, key, rnd).body == mat_mul(mat_mul(key.k_inv, d), key.k)
+
+
+class TestTopLeftDecryption:
+    @fast
+    @given(cases)
+    def test_dec_is_top_left_of_full_diagonal(self, case):
+        key, rng = make_key(*case)
+        modulus = key.modulus
+        x, _, a = fresh(key, rng)
+        y, _, b = fresh(key, rng)
+        k2 = random_invertible(key.dim, modulus.n, rng)
+        other = KeyTuple(modulus, k2, inverse(k2))
+        composed = KeyTuple(modulus, mat_mul(key.k, k2),
+                            mat_mul(inverse(k2), key.k_inv))
+        n = modulus.n
+        checks = [(a, key, x),
+                  (Ciphertext(a.body + b.body), key, (x + y) % n),
+                  (Ciphertext(a.body * b.body), key, x * y % n),
+                  (lock(a, other), composed, x),
+                  (a, other, None),
+                  (lock(a, other), key, None)]
+        for ct, k, plain in checks:
+            got = dec(ct, k)
+            assert got == dec_diagonal(ct, k)[0]
+            if plain is not None:
+                assert got == plain
+
+
+class TestDecMismatch:
+    def test_dim_differs_from_key(self):
+        key4, rng = make_key(2, 4, 16, 1)
+        k = random_invertible(8, key4.modulus.n, rng)
+        key8 = KeyTuple(key4.modulus, k, inverse(k))
+        ct8 = enc8(3, key8, rng)
+        with pytest.raises(MismatchError):
+            dec(ct8, key4)
+        with pytest.raises(MismatchError):
+            dec(enc4(3, key4, rng), key8)
+
+    def test_modulus_differs_from_key(self):
+        key, rng = make_key(2, 4, 16, 1)
+        other, _ = make_key(2, 4, 16, 2)
+        assert other.modulus.n != key.modulus.n
+        with pytest.raises(MismatchError):
+            dec(enc4(3, other, rng), key)
+
+
+class TestKeyMatrixPair:
+    """Key generation inverts the screened matrix once, with no separate
+    determinant test, and draws from the rng exactly as random_invertible."""
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    def test_pair_is_random_invertible_and_its_inverse(self, dim):
+        mat, inv = random_invertible_pair(dim, MOD.n, random.Random(dim))
+        assert mat == random_invertible(dim, MOD.n, random.Random(dim))
+        assert inv == inverse(mat)
+
+    def test_singular_screened_matrix_raises_generation_error(self, monkeypatch):
+        singular = Matrix(4, MOD.n, (3,) * 16)
+        monkeypatch.setattr(matrix, "_screened_matrix",
+                            lambda *args, **kwargs: singular)
+        for draw in (random_invertible, random_invertible_pair):
+            with pytest.raises(GenerationError, match="determinant test"):
+                draw(4, MOD.n, random.Random(0))
