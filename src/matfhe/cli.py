@@ -9,6 +9,7 @@ standard error.
 
 import argparse
 import collections
+import functools
 import itertools
 import random
 import statistics
@@ -223,6 +224,7 @@ def cmd_verify(args):
     return 1
 
 
+@functools.cache  # parse_args returns a fresh namespace on every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="matfhe",

@@ -40,7 +40,7 @@ def matrix_from_text(text, dim, modulus):
 
 
 def _parse_int(text, what):
-    if not text or text.strip() != text or not all(c in "0123456789" for c in text):
+    if not (text.isdigit() and text.isascii()):
         raise MalformedFileError(f"bad {what}: {text!r}")
     return int(text)
 

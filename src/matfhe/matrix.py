@@ -175,51 +175,56 @@ def mat_mul(a, b):
         for row in rows for col in cols))
 
 
-def _bareiss(m):
-    """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968), in place.
+def _eliminate(m, n):
+    """Gauss-Jordan elimination over Z_N, in place; returns det mod n.
 
-    m is a list of d integer rows, each of width d (a matrix alone) or 2d
-    (a matrix augmented with the identity). Pivot k clears column k from
-    every other row, above and below, and updates only the columns right
-    of k, the ones later pivots read. Every division is exact: each
-    numerator x*p - c*y is the previous pivot times a (k+1)x(k+1) minor of
-    the input (Sylvester's identity). Elimination needs no inverses, so it
-    runs over the integers rather than mod N, where composite N cannot
-    always provide a unit pivot.
-
-    Returns the determinant of the leading d x d block, 0 when that block
-    is singular over Z (m is then left part-way). Otherwise the leading
-    block ends diagonal, and any trailing block as p times its product
-    with the inverse of the leading block, where p = m[d-1][d-1] is the
-    last pivot: p = +det or -det, by the parity of the row swaps.
+    m is a list of d rows, reduced mod n, of width d or 2d ([a | I]).
+    Column k pivots on the first unit p at or below row k: that row, scaled
+    by p^-1, clears column k from every other row. Where there is no unit,
+    Bezout steps [[s, t], [-y/g, x/g]] (s*x + t*y = g = gcd(x, y)) fold the
+    rows below into row k, leaving the column's gcd as the pivot; if that
+    is no unit either, neither is det, and the column is left as it is.
+    Each step scales by a unit or is an integer row operation of det +-1,
+    so it commutes with reduction mod n. det is +- the product of the
+    pivots. Only the columns right of each pivot, the ones later pivots
+    read, are updated: when det is a unit, [a | I] ends as [* | a^-1].
     """
     d = len(m)
-    sign = 1
-    prev = 1
+    det = 1
     for k in range(d):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, d) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
+        unit = k if math.gcd(m[k][k], n) == 1 else next(
+            (i for i in range(k + 1, d) if math.gcd(m[i][k], n) == 1), None)
+        if unit is None:
+            for i in range(k + 1, d):
+                x, y = m[k][k], m[i][k]
+                if y:
+                    g = math.gcd(x, y)
+                    s = pow(x // g, -1, y // g)
+                    t = (g - s * x) // y
+                    top, row = m[k], m[i]
+                    m[k] = [(s * a + t * b) % n for a, b in zip(top, row)]
+                    m[i] = [(x // g * b - y // g * a) % n
+                            for a, b in zip(top, row)]
+        elif unit != k:
+            m[k], m[unit] = m[unit], m[k]
+            det = -det
         pivot_row = m[k]
         p = pivot_row[k]
-        tail = pivot_row[k + 1:]
-        for i in range(d):
-            if i != k:
-                row = m[i]
-                c = row[k]
-                row[k + 1:] = [(x * p - c * y) // prev
-                               for x, y in zip(row[k + 1:], tail)]
-                row[k] = 0
-        prev = p
-    return sign * prev
+        det = det * p % n
+        if math.gcd(p, n) != 1:
+            continue
+        inv = pow(p, -1, n)
+        pivot_row[k + 1:] = tail = [x * inv % n for x in pivot_row[k + 1:]]
+        for row in m:
+            c = row[k]
+            if c and row is not pivot_row:
+                row[k + 1:] = [(x - c * y) % n for x, y in zip(row[k + 1:], tail)]
+    return det
 
 
 def determinant(a):
     """det(a) reduced mod the matrix modulus."""
-    return _bareiss([list(r) for r in a.rows()]) % a.modulus
+    return _eliminate([list(r) for r in a.rows()], a.modulus)
 
 
 def is_invertible(a):
@@ -231,21 +236,14 @@ def is_invertible(a):
 
 
 def inverse(a):
-    """Inverse by one fraction-free Gauss-Jordan pass on [a | I].
-
-    The pass leaves p*a^-1 on the right, with p = +det or -det its last
-    pivot, so the right block times p^-1 mod N is the inverse.
-    Raises NotInvertibleError (from mod_inverse) when the determinant shares
-    a factor with the modulus; the error carries det mod N, not p.
-    """
+    """Inverse by one Gauss-Jordan pass over Z_N on [a | I]; when det mod N
+    is no unit, mod_inverse raises NotInvertibleError carrying it."""
     n = a.modulus
     d = a.dim
     m = [list(row) + [int(i == j) for j in range(d)]
          for i, row in enumerate(a.rows())]
-    det = _bareiss(m)
-    det_inv = mod_inverse(det, n)
-    p_inv = det_inv if m[d - 1][d - 1] == det else -det_inv
-    return Matrix(d, n, tuple(x * p_inv % n for row in m for x in row[d:]))
+    mod_inverse(_eliminate(m, n), n)
+    return Matrix(d, n, tuple(x for row in m for x in row[d:]))
 
 
 _SCREEN_FAILED = "screened matrix failed the determinant test"

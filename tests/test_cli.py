@@ -2,9 +2,12 @@
 
 Everything here goes through `python -m matfhe` exactly as a user would,
 so these tests also pin the exit-code contract: 0 success, 2 parameters,
-3 generation, 4 file, 5 range, 6 syntax, 7 unbound input.
+3 generation, 4 file, 5 range, 6 syntax, 7 unbound input. The in-process
+tests at the end call cli.main directly, as a caller reusing one
+interpreter would.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -13,6 +16,8 @@ import sys
 import pytest
 
 from conftest import FIXTURE_DIR, child_env
+
+from matfhe import cli
 
 KEY_A = os.path.join(FIXTURE_DIR, "key_a.key")
 KEY_B = os.path.join(FIXTURE_DIR, "key_b.key")
@@ -344,3 +349,58 @@ def test_bench_output_shape():
 
 def test_bench_bad_params_exit_2():
     assert run_cli("bench", "--lambda", 9).returncode == 2
+
+
+# --- seeded outputs, pinned byte for byte ---
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dim,bits,seed,digest", [
+    (8, 256, 7, "d1c2ec75ac4b8f40cc5f08ffa52ebd8446740eb95a8f769d9a856decfae045c1"),
+    (4, 16, 3, "440b8c2aa145b34602adb0fbaa35b4d4bd8a3bc19d9d79dd76dcc1aa62429ca9"),
+])
+def test_seeded_keygen_is_pinned(tmp_path, dim, bits, seed, digest):
+    key = tmp_path / "t.key"
+    r = run_cli("keygen", "--dim", dim, "--m", 2, "--lambda", bits,
+                "--seed", seed, "--out", key)
+    assert r.returncode == 0, r.stderr
+    assert sha256_of(key) == digest
+
+
+def test_seeded_protocol_transcript_is_pinned(tmp_path):
+    log = tmp_path / "t.log"
+    r = run_cli("protocol-demo", "--f", "(x1*x2)+x3", "--data", "5,6,7,8",
+                "--seed", 3, "--transcript", log, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "37\n"
+    assert sha256_of(log) == (
+        "0b5a521149bd7350750eb54a6b282f05054d258a6b4b185ea39fd842f527ea4c")
+
+
+# --- in-process: one parser per process, no parsed state carried over ---
+
+
+def test_parser_reuse_carries_no_inputs(tmp_path, capsys):
+    out = tmp_path / "r.ct"
+    assert cli.main(["eval", "--key", KEY_B, "--expr", "a+a",
+                     "--input", f"a={CT_B5}", "--out", str(out)]) == 0
+    # The same cached parser, and no --input: a must be unbound again.
+    assert cli.main(["eval", "--key", KEY_B, "--expr", "a",
+                     "--out", str(tmp_path / "s.ct")]) == 7
+    assert not (tmp_path / "s.ct").exists()
+    assert cli.main(["decrypt", "--key", KEY_B, "--in", str(out)]) == 0
+    assert capsys.readouterr().out == "10\n"
+
+
+def test_parser_reuse_keeps_usage_errors(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["keygen"])
+        assert info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: matfhe keygen")

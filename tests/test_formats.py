@@ -240,6 +240,11 @@ def test_serialize_ciphertext_rejects_foreign_modulus(ct_a):
     (lambda t: mutate_line(t, "m=", "m= 2"), "bad m"),
     (lambda t: mutate_line(t, "m=", "m="), "bad m"),
     (lambda t: mutate_line(t, "N=", "N=+1155"), "bad N"),
+    # int() accepts these, the format does not: decimal ASCII digits only.
+    (lambda t: mutate_line(t, "m=", "m=\u0662"), "bad m: '\u0662'"),
+    (lambda t: mutate_line(t, "N=", "N=\uff11\uff11\uff15\uff15"),
+     "bad N: '\uff11\uff11\uff15\uff15'"),
+    (lambda t: mutate_line(t, "N=", "N=1_155"), "bad N: '1_155'"),
     (lambda t: mutate_line(t, "dim=", "dim=3"), "bad key dimension"),
     (lambda t: t + "x\n", "trailing data"),
     (lambda t: t + "\n", "trailing data"),

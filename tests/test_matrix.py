@@ -3,8 +3,9 @@
 The determinant oracle is an independent permutation-sum implementation
 (sum over S_d of sign * product), so the elimination behind determinant
 and inverse is checked against something that shares no code with it.
-Invertibility facts are checked exhaustively where the space allows (all
-1296 2x2 matrices mod 6).
+Invertibility facts are checked exhaustively where the space allows (every
+2x2 matrix mod 4, 6 and 9), and on entries biased toward the non-units,
+whose columns often offer the elimination no unit pivot.
 """
 
 import itertools
@@ -38,6 +39,34 @@ def det_permutation_sum(rows):
 def random_matrix(dim, modulus, rng):
     return Matrix(dim, modulus,
                   tuple(rng.randrange(modulus) for _ in range(dim * dim)))
+
+
+def check_inverse(m, det, e):
+    """inverse(m) is a two-sided inverse, or its error carries det mod N
+    (not -det) and the gcd of det with N."""
+    if math.gcd(det, m.modulus) == 1:
+        inv = inverse(m)
+        assert m * inv == e
+        assert inv * m == e
+    else:
+        with pytest.raises(NotInvertibleError) as info:
+            inverse(m)
+        assert info.value.value == det
+        assert info.value.gcd == math.gcd(det, m.modulus)
+
+
+def count_invertible_2x2(n):
+    """Check every 2x2 matrix over Z_n; returns how many are invertible."""
+    count = 0
+    e = identity(2, n)
+    for entries in itertools.product(range(n), repeat=4):
+        m = Matrix(2, n, entries)
+        det = (entries[0] * entries[3] - entries[1] * entries[2]) % n
+        assert determinant(m) == det
+        assert is_invertible(m) == (math.gcd(det, n) == 1)
+        count += is_invertible(m)
+        check_inverse(m, det, e)
+    return count
 
 
 class TestConstruction:
@@ -171,25 +200,44 @@ class TestDeterminant:
 class TestInvertibility:
     def test_exhaustive_2x2_mod_6(self):
         # Over Z_6 the invertible 2x2 matrices can be counted outright:
-        # 288 of 1296. Also checks the gcd criterion against a direct
-        # search for a two-sided inverse on a sample of the space, and
-        # inverse on every matrix: a true inverse, or an error carrying
-        # det mod 6 (not -det) and its gcd with 6.
-        count = 0
-        e = identity(2, 6)
-        for entries in itertools.product(range(6), repeat=4):
-            m = Matrix(2, 6, entries)
-            det = (entries[0] * entries[3] - entries[1] * entries[2]) % 6
-            assert is_invertible(m) == (math.gcd(det, 6) == 1)
-            if is_invertible(m):
-                count += 1
-                assert m * inverse(m) == e
-            else:
-                with pytest.raises(NotInvertibleError) as info:
-                    inverse(m)
-                assert info.value.value == det
-                assert info.value.gcd == math.gcd(det, 6)
-        assert count == 288
+        # 288 of 1296.
+        assert count_invertible_2x2(6) == 288
+
+    @pytest.mark.parametrize("n,count", [(4, 96), (9, 3888)])
+    def test_exhaustive_2x2_mod_prime_power(self, n, count):
+        # Columns such as (2, 2) mod 4 or (3, 6) mod 9 hold no unit at all.
+        assert count_invertible_2x2(n) == count
+
+    def test_no_unit_pivot_whose_gcd_is_a_unit(self):
+        # Neither 3 nor 5 is a unit mod 15, but gcd(3, 5) is.
+        m = Matrix.from_rows([[3, 5], [5, 3]], 15)
+        assert determinant(m) == 14
+        assert inverse(m) == Matrix.from_rows([[12, 5], [5, 12]], 15)
+
+    def test_no_unit_pivot_whose_gcd_is_not_a_unit(self):
+        m = Matrix.from_rows([[3, 9], [9, 6]], 27)
+        with pytest.raises(NotInvertibleError) as info:
+            inverse(m)
+        assert info.value.value == 18
+        assert info.value.gcd == 9
+
+    @pytest.mark.parametrize("n", [15, 27, 1155])
+    def test_non_unit_entries_match_leibniz(self, n):
+        # Entries biased toward the non-units, by a weight drawn per matrix,
+        # so that columns without a unit pivot are common, at dims 2 to 4.
+        rng = random.Random(n)
+        non_units = [x for x in range(n) if math.gcd(x, n) != 1]
+        for dim in (2, 3, 4):
+            e = identity(dim, n)
+            for _ in range(150):
+                bias = rng.random()
+                m = Matrix(dim, n, tuple(
+                    rng.choice(non_units) if rng.random() < bias
+                    else rng.randrange(n) for _ in range(dim * dim)))
+                det = det_permutation_sum(m.rows()) % n
+                assert determinant(m) == det
+                assert is_invertible(m) == (math.gcd(det, n) == 1)
+                check_inverse(m, det, e)
 
     def test_gcd_criterion_matches_inverse_existence(self):
         rng = random.Random(23)
