@@ -194,21 +194,15 @@ def dec_diagonal(ct, key):
     return tuple(inner[i, i] for i in range(inner.dim))
 
 
-def _conjugate(obj, left, right):
-    body = obj.body if isinstance(obj, Ciphertext) else obj
-    out = mat_mul(mat_mul(left, body), right)
-    return Ciphertext(out) if isinstance(obj, Ciphertext) else out
-
-
-def lock(obj, key):
+def lock(ct, key):
     """Add a key layer: k_inv * body * k.
 
-    Accepts a Matrix or Ciphertext and returns the same kind. Locking an
-    enc4 output under k2 yields a ciphertext of the composed key k1 * k2.
+    Locking an enc4 output under k2 yields a ciphertext of the composed
+    key k1 * k2.
     """
-    return _conjugate(obj, key.k_inv, key.k)
+    return Ciphertext(mat_mul(mat_mul(key.k_inv, ct.body), key.k))
 
 
-def unlock(obj, key):
+def unlock(ct, key):
     """Remove a key layer: k * body * k_inv. Inverse of lock under one key."""
-    return _conjugate(obj, key.k, key.k_inv)
+    return Ciphertext(mat_mul(mat_mul(key.k, ct.body), key.k_inv))

@@ -109,23 +109,31 @@ def _read_key_header(reader):
     return modulus, dim
 
 
+def _key_pair_lines(key, suffix=""):
+    return [f"k{suffix}=" + entries_text(key.k),
+            f"kinv{suffix}=" + entries_text(key.k_inv)]
+
+
+def _read_key_pair(reader, modulus, dim, suffix=""):
+    """The k{suffix}= and kinv{suffix}= lines as a KeyTuple."""
+    k = matrix_from_text(reader.next_field(f"k{suffix}"), dim, modulus.n)
+    k_inv = matrix_from_text(reader.next_field(f"kinv{suffix}"), dim, modulus.n)
+    return KeyTuple(modulus, k, k_inv)
+
+
 def serialize_key(key):
     lines = [f"MATFHE-KEY {_VERSION}"]
     lines += _modulus_lines(key.modulus, secret=True)
     lines.append(f"dim={key.dim}")
-    lines.append("k=" + entries_text(key.k))
-    lines.append("kinv=" + entries_text(key.k_inv))
+    lines += _key_pair_lines(key)
     return "\n".join(lines) + "\n"
 
 
 def parse_key(text):
     reader = _LineReader(text, "KEY")
-    modulus, dim = _read_key_header(reader)
-    n = modulus.n
-    k = matrix_from_text(reader.next_field("k"), dim, n)
-    k_inv = matrix_from_text(reader.next_field("kinv"), dim, n)
+    key = _read_key_pair(reader, *_read_key_header(reader))
     reader.finish()
-    return KeyTuple(modulus, k, k_inv)
+    return key
 
 
 def serialize_ciphertext(ct, modulus):
@@ -144,7 +152,7 @@ def parse_ciphertext(text):
     reader = _LineReader(text, "CT")
     m, bits, _, n = _read_modulus(reader, secret=False)
     dim = _parse_int(reader.next_field("dim"), "dim")
-    if dim not in (4, 8):
+    if dim not in KEY_DIMS:
         raise MalformedFileError(f"bad ciphertext dimension {dim}")
     body = matrix_from_text(reader.next_field("c"), dim, n)
     reader.finish()
@@ -156,31 +164,23 @@ def serialize_keyset(keyset):
     lines += _modulus_lines(keyset.modulus, secret=True)
     lines.append(f"dim={keyset.master.dim}")
     lines.append(f"l={len(keyset.components)}")
-    lines.append("k=" + entries_text(keyset.master.k))
-    lines.append("kinv=" + entries_text(keyset.master.k_inv))
+    lines += _key_pair_lines(keyset.master)
     for i, kt in enumerate(keyset.components, start=1):
-        lines.append(f"k{i}=" + entries_text(kt.k))
-        lines.append(f"kinv{i}=" + entries_text(kt.k_inv))
+        lines += _key_pair_lines(kt, i)
     return "\n".join(lines) + "\n"
 
 
 def parse_keyset(text):
     reader = _LineReader(text, "KEYSET")
     modulus, dim = _read_key_header(reader)
-    n = modulus.n
     count = _parse_int(reader.next_field("l"), "l")
     if count < 2:
         raise MalformedFileError("key set needs at least two components")
-    master = KeyTuple(modulus,
-                      matrix_from_text(reader.next_field("k"), dim, n),
-                      matrix_from_text(reader.next_field("kinv"), dim, n))
-    components = []
-    for i in range(1, count + 1):
-        k = matrix_from_text(reader.next_field(f"k{i}"), dim, n)
-        k_inv = matrix_from_text(reader.next_field(f"kinv{i}"), dim, n)
-        components.append(KeyTuple(modulus, k, k_inv))
+    master = _read_key_pair(reader, modulus, dim)
+    components = tuple(_read_key_pair(reader, modulus, dim, i)
+                       for i in range(1, count + 1))
     reader.finish()
-    return KeySet(modulus, tuple(components), master)
+    return KeySet(modulus, components, master)
 
 
 def read_key(path):

@@ -8,7 +8,7 @@ the determinant, not mere nonzero-ness.
 
 import math
 
-from .ring import GenerationError, NotInvertibleError, mod_inverse
+from .ring import GenerationError, NotInvertibleError
 
 ALLOWED_DIMS = (2, 3, 4, 8)
 
@@ -105,10 +105,7 @@ def mat_add(a, b):
     advantage. Inputs are already reduced, so one conditional subtraction
     replaces the division.
     """
-    if a.dim != b.dim or a.modulus != b.modulus:
-        raise MismatchError(
-            f"operands disagree: dim {a.dim}/{b.dim}, "
-            f"modulus {a.modulus}/{b.modulus}")
+    _check_pair(a, b)
     n = a.modulus
     if a.dim == 4:
         a0, a1, a2, a3, a4, a5, a6, a7, \
@@ -236,62 +233,52 @@ def is_invertible(a):
 
 
 def inverse(a):
-    """Inverse by one Gauss-Jordan pass over Z_N on [a | I]; when det mod N
-    is no unit, mod_inverse raises NotInvertibleError carrying it."""
+    """Inverse by one Gauss-Jordan pass over Z_N on [a | I]; raises
+    NotInvertibleError carrying det mod N when that is no unit."""
     n = a.modulus
     d = a.dim
     m = [list(row) + [int(i == j) for j in range(d)]
          for i, row in enumerate(a.rows())]
-    mod_inverse(_eliminate(m, n), n)
+    det = _eliminate(m, n)
+    g = math.gcd(det, n)
+    if g != 1:
+        raise NotInvertibleError(det, n, g)
     return Matrix(d, n, tuple(x for row in m for x in row[d:]))
 
 
-_SCREEN_FAILED = "screened matrix failed the determinant test"
-
-
 def random_invertible(dim, modulus, rng, max_rerolls=1000):
-    """Random invertible matrix mod modulus.
+    """Random invertible matrix mod modulus: random_invertible_pair's k."""
+    return random_invertible_pair(dim, modulus, rng, max_rerolls)[0]
 
-    Entries are drawn row-major with rng.randrange(modulus). Each candidate
-    row is screened by elimination against the rows accepted so far: a row
-    that reduces to zero, or whose reduction has no unit entry to pivot on,
-    is redrawn whole. The screen is heuristic (it can reject rows a fuller
-    search would keep), so the determinant test still runs on the final
-    matrix as ground truth.
+
+def random_invertible_pair(dim, modulus, rng, max_rerolls=1000):
+    """Random invertible k mod modulus with k^-1, from one elimination pass.
+
+    Entries are drawn row-major with rng.randrange(modulus). Each drawn row,
+    next to the identity row that records it, is reduced against the rows
+    kept so far: a row whose reduction has no unit entry to pivot on is
+    redrawn whole (the screen can reject rows a fuller search would keep).
+    A kept row is scaled by its pivot's inverse and clears its pivot column
+    from the earlier kept rows (Gauss-Jordan), so the kept rows end as
+    [P | G] with G*k = P, a permutation: row pivot_i of k^-1 is the right
+    half of kept row i. Every pivot is a unit, so det k is one too.
     """
-    mat = _screened_matrix(dim, modulus, rng, max_rerolls)
-    if not is_invertible(mat):
-        raise GenerationError(_SCREEN_FAILED)
-    return mat
-
-
-def random_invertible_pair(dim, modulus, rng):
-    """random_invertible with its inverse; inverse is the determinant test."""
-    mat = _screened_matrix(dim, modulus, rng)
-    try:
-        return mat, inverse(mat)
-    except NotInvertibleError:
-        raise GenerationError(_SCREEN_FAILED) from None
-
-
-def _screened_matrix(dim, modulus, rng, max_rerolls=1000):
-    """The row-screened draw of random_invertible, before its final test."""
     if dim not in ALLOWED_DIMS:
         raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
     if modulus <= 1:
         raise ValueError("modulus must be > 1")
     n = modulus
     rows = []
-    echelon = []
+    kept = []  # (pivot column, [reduced row | recording row])
     rerolls = 0
     while len(rows) < dim:
         row = [rng.randrange(n) for _ in range(dim)]
-        reduced = row[:]
-        for pivot_col, erow in echelon:
+        reduced = row + [int(j == len(rows)) for j in range(dim)]
+        for pivot_col, krow in kept:
             c = reduced[pivot_col]
             if c:
-                reduced = [(x - c * e) % n for x, e in zip(reduced, erow)]
-        pivot = next((j for j, x in enumerate(reduced)
+                reduced = [(x - c * y) % n for x, y in zip(reduced, krow)]
+        pivot = next((j for j, x in enumerate(reduced[:dim])
                       if x and math.gcd(x, n) == 1), None)
         if pivot is None:
             rerolls += 1
@@ -299,7 +286,14 @@ def _screened_matrix(dim, modulus, rng, max_rerolls=1000):
                 raise GenerationError(
                     f"row generation exhausted {max_rerolls} rerolls")
             continue
-        inv = mod_inverse(reduced[pivot], n)
-        echelon.append((pivot, [(x * inv) % n for x in reduced]))
+        inv = pow(reduced[pivot], -1, n)
+        reduced = [x * inv % n for x in reduced]
+        for _, krow in kept:
+            c = krow[pivot]
+            if c:
+                krow[:] = [(x - c * y) % n for x, y in zip(krow, reduced)]
+        kept.append((pivot, reduced))
         rows.append(row)
-    return Matrix(dim, n, tuple(v % n for row in rows for v in row))
+    kept.sort()
+    return (Matrix(dim, n, tuple(v % n for row in rows for v in row)),
+            Matrix(dim, n, tuple(x for _, krow in kept for x in krow[dim:])))

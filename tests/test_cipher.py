@@ -183,10 +183,10 @@ class TestLockUnlock:
         assert composed.verify()
         assert dec(locked, composed) == 257
 
-    def test_lock_accepts_bare_matrices(self, key_a):
-        body = CT_A
-        assert lock(body, key_a) == mat_mul(mat_mul(key_a.k_inv, body), key_a.k)
-        assert isinstance(lock(Ciphertext(body), key_a), Ciphertext)
+    def test_lock_conjugates_the_body(self, key_a):
+        locked = lock(Ciphertext(CT_A), key_a)
+        assert isinstance(locked, Ciphertext)
+        assert locked.body == mat_mul(mat_mul(key_a.k_inv, CT_A), key_a.k)
 
     def test_unlock_reveals_diagonal_structure(self):
         # Unlocking with the full key stack strips every conjugation layer,

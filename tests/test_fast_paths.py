@@ -20,11 +20,11 @@ from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
 from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8
 from matfhe import matrix
-from matfhe.matrix import (Matrix, MismatchError, diagonal, inverse, mat_mul,
+from matfhe.matrix import (MismatchError, diagonal, inverse, mat_mul,
                            random_invertible, random_invertible_pair)
-from matfhe.ring import GenerationError, crt_solve
+from matfhe.ring import GenerationError, crt_solve, generate_coprime_set
 
-from known_answers import MOD
+from known_answers import KA, KA_INV, MOD
 
 KEYGEN = {4: keygen4, 8: keygen8}
 
@@ -170,19 +170,46 @@ class TestDecMismatch:
 
 
 class TestKeyMatrixPair:
-    """Key generation inverts the screened matrix once, with no separate
-    determinant test, and draws from the rng exactly as random_invertible."""
+    """Key generation's row screen yields k and k_inv from one elimination
+    pass and draws from the rng exactly as random_invertible."""
 
-    @pytest.mark.parametrize("dim", (4, 8))
+    # Moduli with many non-units, so rows are rejected and pivots leave the
+    # diagonal; the last is a keygen modulus at lambda=16.
+    MODULI = (45, 1155, 30030,
+              generate_coprime_set(2, 16, random.Random(5)).n)
+
+    @pytest.mark.parametrize("dim", (2, 3, 4, 8))
     def test_pair_is_random_invertible_and_its_inverse(self, dim):
-        mat, inv = random_invertible_pair(dim, MOD.n, random.Random(dim))
-        assert mat == random_invertible(dim, MOD.n, random.Random(dim))
-        assert inv == inverse(mat)
+        for n in self.MODULI:
+            for seed in range(25):
+                rng, twin = random.Random(seed), random.Random(seed)
+                mat, inv = random_invertible_pair(dim, n, rng)
+                assert mat == random_invertible(dim, n, twin)
+                assert inv == inverse(mat)
+                assert rng.random() == twin.random()
 
-    def test_singular_screened_matrix_raises_generation_error(self, monkeypatch):
-        singular = Matrix(4, MOD.n, (3,) * 16)
-        monkeypatch.setattr(matrix, "_screened_matrix",
-                            lambda *args, **kwargs: singular)
-        for draw in (random_invertible, random_invertible_pair):
-            with pytest.raises(GenerationError, match="determinant test"):
-                draw(4, MOD.n, random.Random(0))
+    def test_rerolls_exhausted(self):
+        draws = []
+
+        class Zeros:
+            def randrange(self, n):
+                draws.append(n)
+                return 0
+
+        with pytest.raises(GenerationError, match="exhausted 3 rerolls"):
+            random_invertible_pair(4, MOD.n, Zeros(), max_rerolls=3)
+        assert len(draws) == 4 * 4
+
+    def test_injected_entries_are_reduced(self):
+        kt = keygen4(2, 8, candidates=[3, 5, 7, 11],
+                     entries=[v + MOD.n for v in KA.entries])
+        assert (kt.k, kt.k_inv) == (KA, KA_INV)
+
+    def test_pair_runs_no_second_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("key generation eliminated again")
+
+        for name in ("_eliminate", "inverse", "is_invertible"):
+            monkeypatch.setattr(matrix, name, refuse)
+        key = keygen8(2, 64, random.Random(3))
+        assert key.verify()
