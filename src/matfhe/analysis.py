@@ -3,8 +3,10 @@
 Covers the invertibility density of random matrices mod N, the brute-force
 cost formula, the ciphertext collision rate, witness constructions for the
 key-indistinguishability argument (lemma6_witness, lemma7_check), and a
-known-plaintext attack against the pedagogical dim 2 construction that the
-full scheme is built to resist.
+known-plaintext attack on the pedagogical dim 2 construction. That attack's
+(x + r, x * r) factoring fails on dim 4 ciphertexts, but the conjugation
+invariants still pin the plaintext: slot 0 of every diagonal is x, so
+det(C - y*I) = 0 mod N at y = x for every ciphertext of either dimension.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cipher import (Enc4Randomness, dec, enc4, encryption_diagonal,
-                     sample_enc4_randomness)
+                     sample_enc4_randomness, sample_enc8_randomness)
 from .keys import KeyTuple
 from .matrix import (Matrix, determinant, diagonal, inverse, is_invertible,
                      mat_mul)
@@ -72,21 +74,19 @@ def kpa_collision_estimate(key, x, trials, rng):
     """Fraction of fresh re-encryptions of x that reproduce a fixed target.
 
     Encrypts x once as the target, then re-encrypts trials times with fresh
-    coins, counting exact ciphertext matches. Conjugation by the fixed key
-    is a bijection on matrices, so two ciphertexts under one key are equal
-    exactly when their diagonals are; comparing diagonals keeps a million
-    trials cheap.
+    coins for the key's dimension, counting exact ciphertext matches.
+    Conjugation by the fixed key is a bijection on matrices, so two
+    ciphertexts under one key are equal exactly when their diagonals are;
+    comparing diagonals keeps a million trials cheap.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     modulus = key.modulus
-    target = encryption_diagonal(x, modulus,
-                                 sample_enc4_randomness(x, modulus, rng))
+    sample = sample_enc4_randomness if key.dim == 4 else sample_enc8_randomness
+    target = encryption_diagonal(x, modulus, sample(x, modulus, rng))
     hits = 0
     for _ in range(trials):
-        d = encryption_diagonal(x, modulus,
-                                sample_enc4_randomness(x, modulus, rng))
-        if d == target:
+        if encryption_diagonal(x, modulus, sample(x, modulus, rng)) == target:
             hits += 1
     return hits / trials
 
@@ -185,8 +185,9 @@ def strawman_cpa_attack(pairs):
     Trace and determinant survive conjugation, so a dim 2 ciphertext of x
     reveals (x + r, x * r) directly: r is trace minus x, cross-checked
     against the determinant. Dim 4 ciphertexts blend three CRT-mixed slots
-    into the trace, the cross-check fails, and InconsistentPairsError is
-    the demonstration that the invariants no longer determine anything.
+    into the trace, so the cross-check fails with InconsistentPairsError:
+    this factoring no longer applies. The invariants still pin x, though:
+    slot 0 is x, so det(C - y*I) = 0 mod N at y = x for every ciphertext.
     """
     if not pairs:
         raise ValueError("need at least one (plaintext, ciphertext) pair")

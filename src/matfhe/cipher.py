@@ -1,11 +1,13 @@
 """Encryption, decryption, and re-keying of conjugated diagonal ciphertexts.
 
 A plaintext x sits in the top-left slot of a diagonal matrix whose other
-slots blend x with blind values through per-factor CRT choices; the
-ciphertext is that diagonal conjugated by the secret key. Decryption
-conjugates back and reads the top-left entry. Because conjugation is a ring
-homomorphism, ciphertext sums and products track plaintext sums and
-products.
+slots blend x with one blind (dim 4) or two (dim 8) through per-factor CRT
+choices. One encoder serves both dimensions: the coins give a row of slot
+values per factor, encryption_diagonal folds the rows through the CRT
+basis, and one body checks key, plaintext and coins and conjugates the
+diagonal by the key. Decryption conjugates back and reads the top-left
+entry. Conjugation is a ring homomorphism, so ciphertext sums and
+products track plaintext sums and products.
 """
 
 from dataclasses import dataclass
@@ -43,6 +45,15 @@ class Enc4Randomness:
         if any(c not in (1, 2, 3) for c in self.row_choices):
             raise ValueError("row choices must be 1, 2, or 3")
 
+    @property
+    def blinds(self):
+        return (self.r,)
+
+    def slot_rows(self, x):
+        r = self.r
+        base = ((x, r, r), (r, x, r), (r, r, x))
+        return [base[c - 1] for c in self.row_choices]
+
 
 @dataclass(frozen=True)
 class Enc8Randomness:
@@ -63,26 +74,34 @@ class Enc8Randomness:
                 raise ValueError(
                     "each row must arrange x once and r1, r2 three times each")
 
+    @property
+    def blinds(self):
+        return (self.r1, self.r2)
+
+    def slot_rows(self, x):
+        values = {"x": x, "r1": self.r1, "r2": self.r2}
+        return [[values[slot] for slot in row] for row in self.rows]
+
+
+def _draw_blind(taken, n, rng):
+    """Uniform over Z_n minus taken, redrawing on every hit."""
+    b = rng.randrange(n)
+    while b in taken:
+        b = rng.randrange(n)
+    return b
+
 
 def sample_enc4_randomness(x, modulus, rng):
     """Uniform enc4 coins: r from Z_n minus {x}, row choices uniform."""
-    n = modulus.n
-    r = rng.randrange(n)
-    while r == x:
-        r = rng.randrange(n)
     return Enc4Randomness(
-        r=r, row_choices=tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
+        r=_draw_blind((x,), modulus.n, rng),
+        row_choices=tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
 
 
 def sample_enc8_randomness(x, modulus, rng):
     """Uniform enc8 coins: distinct blinds, arrangements uniform over 140."""
-    n = modulus.n
-    r1 = rng.randrange(n)
-    while r1 == x:
-        r1 = rng.randrange(n)
-    r2 = rng.randrange(n)
-    while r2 == x or r2 == r1:
-        r2 = rng.randrange(n)
+    r1 = _draw_blind((x,), modulus.n, rng)
+    r2 = _draw_blind((x, r1), modulus.n, rng)
     rows = []
     for _ in range(modulus.m):
         slots = ["r2"] * 7
@@ -95,75 +114,52 @@ def sample_enc8_randomness(x, modulus, rng):
     return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
 
 
-def _fold(rows, modulus):
-    """Slot j is sum(rows[i][j] * e_i) mod n: row i's entry j mod each f_i."""
-    e = modulus.crt_basis
-    return tuple(sum(v * b for v, b in zip(c, e, strict=True)) % modulus.n
-                 for c in zip(*rows))
-
-
 def encryption_diagonal(x, modulus, rnd):
-    """The enc4 diagonal (x, x1, x2, x3) before conjugation.
+    """The diagonal (x, x1, ...) before conjugation, for enc4 or enc8 coins.
 
-    Row c of [[x, r, r], [r, x, r], [r, r, x]] is chosen per factor, and
-    the stacked rows are folded column by column through the CRT basis.
+    rnd.slot_rows(x) gives one row of slot values per factor; slot j is
+    sum(rows[i][j] * e_i) mod n over the CRT basis, so it agrees with row
+    i's entry j mod each f_i.
     """
-    r = rnd.r
-    base = ((x, r, r), (r, x, r), (r, r, x))
-    return (x,) + _fold([base[c - 1] for c in rnd.row_choices], modulus)
+    rows = rnd.slot_rows(x)
+    if len(rows) != modulus.m:
+        raise ValueError("need one slot row per factor")
+    e = modulus.crt_basis
+    return (x,) + tuple(sum(v * b for v, b in zip(c, e)) % modulus.n
+                        for c in zip(*rows))
 
 
-def _check_plaintext(x, modulus):
-    if not 0 <= x < modulus.n:
-        raise ValueError(f"plaintext must lie in [0, {modulus.n})")
-
-
-def _conjugate_diagonal(diag, key):
-    """k_inv * diag(diag) * k: k_inv's column j scaled by diag[j], times k."""
-    n = key.modulus.n
+def _encrypt(x, key, rnd, dim, coins, sample):
+    """k_inv * diag(D) * k for x's encryption diagonal D, as k_inv's columns
+    scaled by D, times k. rnd is fixed coins or an rng to sample them from.
+    """
+    modulus = key.modulus
+    n = modulus.n
+    if key.dim != dim:
+        raise ValueError(f"enc{dim} needs a dim {dim} key")
+    if not 0 <= x < n:
+        raise ValueError(f"plaintext must lie in [0, {n})")
+    if not isinstance(rnd, coins):
+        rnd = sample(x, modulus, rnd)
+    taken = [x]
+    for b in rnd.blinds:
+        if not 0 <= b < n or b in taken:
+            raise ValueError("need distinct blinds in [0, n), none equal to x")
+        taken.append(b)
+    diag = encryption_diagonal(x, modulus, rnd)
     k_inv = key.k_inv
     scaled = tuple(v * s % n for r in k_inv.rows() for v, s in zip(r, diag))
-    return Ciphertext(mat_mul(Matrix(k_inv.dim, n, scaled), key.k))
+    return Ciphertext(mat_mul(Matrix(dim, n, scaled), key.k))
 
 
 def enc4(x, key, rnd):
-    """Encrypt x under a dim 4 key as k_inv * diag(x, x1, x2, x3) * k,
-    k_inv with its columns scaled by the diagonal, times k.
-
-    rnd is either an Enc4Randomness (deterministic, for reproducibility)
-    or an rng to sample fresh coins from.
-    """
-    modulus = key.modulus
-    if key.dim != 4:
-        raise ValueError("enc4 needs a dim 4 key")
-    _check_plaintext(x, modulus)
-    if not isinstance(rnd, Enc4Randomness):
-        rnd = sample_enc4_randomness(x, modulus, rnd)
-    if not 0 <= rnd.r < modulus.n or rnd.r == x:
-        raise ValueError("blind r must lie in [0, n) and differ from x")
-    if len(rnd.row_choices) != modulus.m:
-        raise ValueError("need one row choice per factor")
-    return _conjugate_diagonal(encryption_diagonal(x, modulus, rnd), key)
+    """Encrypt x under a dim 4 key; rnd is an Enc4Randomness or an rng."""
+    return _encrypt(x, key, rnd, 4, Enc4Randomness, sample_enc4_randomness)
 
 
 def enc8(x, key, rnd):
-    """Encrypt x under a dim 8 key: diagonal (x, x1..x7), two blinds."""
-    modulus = key.modulus
-    if key.dim != 8:
-        raise ValueError("enc8 needs a dim 8 key")
-    _check_plaintext(x, modulus)
-    if not isinstance(rnd, Enc8Randomness):
-        rnd = sample_enc8_randomness(x, modulus, rnd)
-    for blind in (rnd.r1, rnd.r2):
-        if not 0 <= blind < modulus.n or blind == x:
-            raise ValueError("blinds must lie in [0, n) and differ from x")
-    if rnd.r1 == rnd.r2:
-        raise ValueError("blinds must be distinct")
-    if len(rnd.rows) != modulus.m:
-        raise ValueError("need one arrangement per factor")
-    values = {"x": x, "r1": rnd.r1, "r2": rnd.r2}
-    rows = [[values[slot] for slot in row] for row in rnd.rows]
-    return _conjugate_diagonal((x,) + _fold(rows, modulus), key)
+    """Encrypt x under a dim 8 key; rnd is an Enc8Randomness or an rng."""
+    return _encrypt(x, key, rnd, 8, Enc8Randomness, sample_enc8_randomness)
 
 
 def encrypt_value(x, key, rng):

@@ -74,6 +74,12 @@ class _LineReader:
             raise MalformedFileError(f"expected {name}= line, got {line!r}")
         return line[len(prefix):]
 
+    def next_dim(self, what):
+        dim = _parse_int(self.next_field("dim"), "dim")
+        if dim not in KEY_DIMS:
+            raise MalformedFileError(f"bad {what} dimension {dim}")
+        return dim
+
     def finish(self):
         if self.pos != len(self.lines):
             raise MalformedFileError(f"trailing data: {self.lines[self.pos]!r}")
@@ -103,10 +109,7 @@ def _read_key_header(reader):
         modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
     except ValueError as err:
         raise MalformedFileError(str(err)) from err
-    dim = _parse_int(reader.next_field("dim"), "dim")
-    if dim not in KEY_DIMS:
-        raise MalformedFileError(f"bad key dimension {dim}")
-    return modulus, dim
+    return modulus, reader.next_dim("key")
 
 
 def _key_pair_lines(key, suffix=""):
@@ -151,9 +154,7 @@ def parse_ciphertext(text):
     """Returns (Ciphertext, m, bits, n). Factors are not in the file."""
     reader = _LineReader(text, "CT")
     m, bits, _, n = _read_modulus(reader, secret=False)
-    dim = _parse_int(reader.next_field("dim"), "dim")
-    if dim not in KEY_DIMS:
-        raise MalformedFileError(f"bad ciphertext dimension {dim}")
+    dim = reader.next_dim("ciphertext")
     body = matrix_from_text(reader.next_field("c"), dim, n)
     reader.finish()
     return Ciphertext(body), m, bits, n

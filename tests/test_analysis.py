@@ -1,4 +1,5 @@
-"""Experiments, witness constructions, and the dim 2 attack."""
+"""Experiments, witness constructions, the dim 2 attack, and the
+plaintext-candidate test that conjugation invariants allow at dims 4 and 8."""
 
 import math
 import random
@@ -10,9 +11,11 @@ from matfhe.analysis import (AttackReport, InconsistentPairsError,
                              invertibility_experiment, kpa_collision_estimate,
                              lemma6_witness, lemma7_check, strawman_cpa_attack,
                              strawman_encrypt)
-from matfhe.cipher import Enc4Randomness, enc4, sample_enc4_randomness
-from matfhe.keys import KeyTuple, keygen4
-from matfhe.matrix import identity, mat_mul, random_invertible
+from matfhe.cipher import (Enc4Randomness, enc4, encrypt_value,
+                           sample_enc4_randomness)
+from matfhe.keys import KeyTuple, keygen4, keygen8
+from matfhe.matrix import (determinant, diagonal, identity, mat_mul, mat_sub,
+                           random_invertible)
 from matfhe.ring import RingModulus
 
 from conftest import RND_A
@@ -142,6 +145,16 @@ class TestKpaCollision:
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(fraction - p) <= 3 * sigma
 
+    def test_dim8_key_draws_enc8_coins(self):
+        # At N = 15, m = 1, enc4 coins would collide at 1/(14 * 3), about
+        # 0.024. Enc8 coins must repeat both blinds and the arrangement (or
+        # swap r1 and r2 together with their slots): 2/(14 * 13 * 140),
+        # about 8e-5.
+        key = keygen8(1, 8, random.Random(11), candidates=(3, 5))
+        assert key.modulus.n == 15
+        fraction = kpa_collision_estimate(key, 4, 20000, random.Random(12))
+        assert fraction < 0.002
+
     def test_trials_validated(self, key_a):
         with pytest.raises(ValueError):
             kpa_collision_estimate(key_a, 257, 0, random.Random(1))
@@ -265,3 +278,23 @@ class TestStrawmanAttack:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             strawman_cpa_attack([])
+
+
+class TestPlaintextCandidates:
+    """Conjugation keeps det(C - y*I) = prod_j (d_j - y) mod N, and slot 0
+    of the hidden diagonal d is x, so y = x is always a root. Over a small
+    candidate range the plaintext is in practice the only one, which is
+    why the invariants pin dim 4 and dim 8 plaintexts even though the
+    strawman's (x + r, x * r) factoring fails on them."""
+
+    @pytest.mark.parametrize("dim,keygen", [(4, keygen4), (8, keygen8)])
+    @pytest.mark.parametrize("bits", (16, 64, 256))
+    def test_plaintext_is_the_only_small_root(self, dim, keygen, bits):
+        rng = random.Random(dim * 1000 + bits)
+        key = keygen(2, bits, rng)
+        n = key.modulus.n
+        for x in rng.sample(range(16), 5):
+            body = encrypt_value(x, key, rng).body
+            roots = [y for y in range(16) if determinant(
+                mat_sub(body, diagonal((y,) * dim, n))) == 0]
+            assert roots == [x]

@@ -104,6 +104,22 @@ class TestRandomnessValidation:
         with pytest.raises(ValueError):
             enc8(5, key8, Enc8Randomness(r1=9, r2=9, rows=(row, row)))
 
+    def test_enc8_rejects_bad_blinds_counts_and_keys(self, key_a):
+        # The checks enc4 and enc8 share: blinds in [0, n), unequal to x
+        # and to each other, one slot row per factor, a key of their dim.
+        key8 = keygen8(2, 16, rng=random.Random(3))
+        n = key8.modulus.n
+        row = ("x",) + ("r1",) * 3 + ("r2",) * 3
+        for r1, r2, count in [(5, 9, 2), (9, 5, 2), (n, 9, 2), (9, -1, 2),
+                              (9, 10, 1), (9, 10, 3)]:
+            with pytest.raises(ValueError):
+                enc8(5, key8, Enc8Randomness(r1=r1, r2=r2,
+                                             rows=(row,) * count))
+        with pytest.raises(ValueError):
+            enc8(5, key_a, random.Random(1))
+        good = Enc8Randomness(r1=9, r2=10, rows=(row, row))
+        assert dec(enc8(5, key8, good), key8) == 5
+
     def test_sampled_coins_respect_constraints(self):
         rng = random.Random(5)
         for _ in range(200):

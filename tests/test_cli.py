@@ -370,6 +370,32 @@ def test_seeded_keygen_is_pinned(tmp_path, dim, bits, seed, digest):
     assert sha256_of(key) == digest
 
 
+@pytest.mark.parametrize("dim,expr,digest", [
+    (4, None, "cb71ea1e0eac713e067eadd73c975ba625e4279c4b77291d5675a34ccb9749ec"),
+    (8, None, "54890c8f5ce48a903e24b43d866786c94e507f03562b45cf4225b6ed939def37"),
+    (8, "a*2+1", "119263209eb9fa2bfd152dbd44bd8efa537111ebeb73e9f6922c9cbc0f7784b2"),
+])
+def test_seeded_encryption_is_pinned(tmp_path, dim, expr, digest):
+    # Dim 8 runs under the pinned dim 8 key above; the constant in expr
+    # is encrypted from the eval seed.
+    key = KEY_A
+    if dim == 8:
+        key = tmp_path / "t.key"
+        assert run_cli("keygen", "--dim", 8, "--m", 2, "--lambda", 256,
+                       "--seed", 7, "--out", key).returncode == 0
+    ct = tmp_path / "t.ct"
+    r = run_cli("encrypt", "--key", key, "--value", 257, "--seed", 3,
+                "--out", ct)
+    assert r.returncode == 0, r.stderr
+    if expr is not None:
+        out = tmp_path / "e.ct"
+        r = run_cli("eval", "--key", key, "--expr", expr,
+                    "--input", f"a={ct}", "--seed", 1, "--out", out)
+        assert r.returncode == 0, r.stderr
+        ct = out
+    assert sha256_of(ct) == digest
+
+
 def test_seeded_protocol_transcript_is_pinned(tmp_path):
     log = tmp_path / "t.log"
     r = run_cli("protocol-demo", "--f", "(x1*x2)+x3", "--data", "5,6,7,8",

@@ -97,13 +97,17 @@ class TestCrtBasis:
         key, rng = make_key(*case)
         x, rnd, ct = fresh(key, rng)
         expected = oracle_diagonal(x, key.modulus, rnd)
-        if key.dim == 4:
-            assert encryption_diagonal(x, key.modulus, rnd) == expected
+        assert encryption_diagonal(x, key.modulus, rnd) == expected
         assert dec_diagonal(ct, key) == expected
 
     def test_fold_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
             encryption_diagonal(5, MOD, Enc4Randomness(r=7, row_choices=(1,)))
+        row = ("x",) + ("r1",) * 3 + ("r2",) * 3
+        for rows in ((), (row,), (row,) * 3):
+            with pytest.raises(ValueError):
+                encryption_diagonal(5, MOD,
+                                    Enc8Randomness(r1=7, r2=8, rows=rows))
 
 
 class TestColumnScaledEncryption:
