@@ -2,12 +2,20 @@
 
 A plaintext x sits in the top-left slot of a diagonal matrix whose other
 slots blend x with one blind (dim 4) or two (dim 8) through per-factor CRT
-choices. One encoder serves both dimensions: the coins give a row of slot
-values per factor, encryption_diagonal folds the rows through the CRT
-basis, and one body checks key, plaintext and coins and conjugates the
-diagonal by the key. Decryption conjugates back and reads the top-left
-entry. Conjugation is a ring homomorphism, so ciphertext sums and
-products track plaintext sums and products.
+choices: the coins give a row of slot values per factor, and
+encryption_diagonal folds the rows through the CRT basis. One body checks
+key, plaintext and coins for both dimensions and conjugates the diagonal
+by the key. Decryption conjugates back and reads the top-left entry.
+Conjugation is a ring homomorphism, so ciphertext sums and products track
+plaintext sums and products.
+
+Conjugation is linear in the diagonal: k_inv * diag(D) * k = sum(D_j * Q_j)
+over the key's rank-1 slot projectors Q_j = (column j of k_inv) * (row j
+of k). So under a key pair every dim 4 ciphertext is
+C = r * I + (x - r) * P_c, where the slot sum P_c depends only on the row
+choices c; the key caches its at most 3^m of them, and a warm encryption
+is 16 multiplications. Dim 8 keeps the column-scaled product (see
+_encrypt).
 """
 
 from dataclasses import dataclass
@@ -114,6 +122,11 @@ def sample_enc8_randomness(x, modulus, rng):
     return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
 
 
+def _check_row_count(rows, modulus):
+    if len(rows) != modulus.m:
+        raise ValueError("need one slot row per factor")
+
+
 def encryption_diagonal(x, modulus, rnd):
     """The diagonal (x, x1, ...) before conjugation, for enc4 or enc8 coins.
 
@@ -122,16 +135,40 @@ def encryption_diagonal(x, modulus, rnd):
     i's entry j mod each f_i.
     """
     rows = rnd.slot_rows(x)
-    if len(rows) != modulus.m:
-        raise ValueError("need one slot row per factor")
+    _check_row_count(rows, modulus)
     e = modulus.crt_basis
     return (x,) + tuple(sum(v * b for v, b in zip(c, e)) % modulus.n
                         for c in zip(*rows))
 
 
+def _slot_sum(key, choices):
+    """P_c = Q_0 + sum(e_i * Q_{c_i}) mod n for row choices c, cached on the
+    key: the dim 4 encryption of 1 with blind 0."""
+    modulus = key.modulus
+    _check_row_count(choices, modulus)
+    weights = [1, 0, 0, 0]
+    for c, e in zip(choices, modulus.crt_basis):
+        weights[c] += e
+    n = modulus.n
+    total = tuple(sum(w * v for w, v in zip(weights, q)) % n
+                  for q in zip(*key.slot_projectors))
+    key.slot_sums[choices] = total
+    return total
+
+
 def _encrypt(x, key, rnd, dim, coins, sample):
-    """k_inv * diag(D) * k for x's encryption diagonal D, as k_inv's columns
-    scaled by D, times k. rnd is fixed coins or an rng to sample them from.
+    """k_inv * diag(D) * k for x's encryption diagonal D. rnd is fixed coins
+    or an rng to sample them from.
+
+    At dim 4, D = r * (1, ..., 1) + (x - r) * D(1, 0), since the CRT basis
+    sums to 1, and k_inv * diag(D) * k = sum(D_j * Q_j) over the key's slot
+    projectors. So C = r * S + (x - r) * P_c, where S = sum(Q_j) = k_inv * k
+    (the identity for a true key pair, so r * S costs no full-width
+    multiplication) and P_c is the slot sum of the row choices c, cached on
+    the key: 16 multiplications once c is cached. At dim 8 each ciphertext
+    would need its own sum over two blinds and 140^m arrangements, which
+    on a fresh key costs more than the product, so k_inv's columns are
+    scaled by D and multiplied by k.
     """
     modulus = key.modulus
     n = modulus.n
@@ -146,6 +183,15 @@ def _encrypt(x, key, rnd, dim, coins, sample):
         if not 0 <= b < n or b in taken:
             raise ValueError("need distinct blinds in [0, n), none equal to x")
         taken.append(b)
+    if dim == 4:
+        choices = tuple(rnd.row_choices)
+        total = key.slot_sums.get(choices) or _slot_sum(key, choices)
+        r = rnd.r
+        t = x - r
+        body = [t * p % n for p in total]
+        for i, s in key.projector_sum:
+            body[i] = (body[i] + r * s) % n
+        return Ciphertext(Matrix(4, n, tuple(body)))
     diag = encryption_diagonal(x, modulus, rnd)
     k_inv = key.k_inv
     scaled = tuple(v * s % n for r in k_inv.rows() for v, s in zip(r, diag))

@@ -1,13 +1,15 @@
 """Fast paths against their slow oracles.
 
 Encryption folds each diagonal slot through the modulus's cached CRT
-basis and scales the columns of k_inv instead of multiplying by a
-diagonal matrix; decryption computes only the top-left entry of
-k * C * k_inv. Each property below pits one of these against the
-straightforward computation it replaces: crt_solve per slot, two full
-matrix products, and the full recovered diagonal.
+basis; dim 4 encryption sums the key's cached slot projectors and dim 8
+scales the columns of k_inv instead of multiplying by a diagonal matrix;
+decryption computes only the top-left entry of k * C * k_inv. Each
+property below pits one of these against the straightforward computation
+it replaces: crt_solve per slot, two full matrix products, and the full
+recovered diagonal.
 """
 
+import itertools
 import random
 
 import pytest
@@ -68,6 +70,12 @@ def fresh(key, rng):
     return x, rnd, enc8(x, key, rnd)
 
 
+def two_products(x, key, rnd):
+    """k_inv * diag(D) * k with both products made in full."""
+    d = diagonal(oracle_diagonal(x, key.modulus, rnd), key.modulus.n)
+    return mat_mul(mat_mul(key.k_inv, d), key.k)
+
+
 class TestCrtBasis:
     def test_pinned_basis(self):
         # N = 1155 = 21 * 55: 715 = 1 mod 21 and 0 mod 55, 441 the reverse.
@@ -116,16 +124,69 @@ class TestColumnScaledEncryption:
     def test_body_equals_two_full_products(self, case):
         key, rng = make_key(*case)
         x, rnd, ct = fresh(key, rng)
-        d = diagonal(oracle_diagonal(x, key.modulus, rnd), key.modulus.n)
-        assert ct.body == mat_mul(mat_mul(key.k_inv, d), key.k)
+        assert ct.body == two_products(x, key, rnd)
 
     def test_enc8_pinned_arrangement(self):
         key = keygen8(2, 16, random.Random(3))
         rows = (("x", "r1", "r1", "r1", "r2", "r2", "r2"),
                 ("r2", "r2", "r2", "x", "r1", "r1", "r1"))
         rnd = Enc8Randomness(r1=10, r2=20, rows=rows)
-        d = diagonal(oracle_diagonal(7, key.modulus, rnd), key.modulus.n)
-        assert enc8(7, key, rnd).body == mat_mul(mat_mul(key.k_inv, d), key.k)
+        assert enc8(7, key, rnd).body == two_products(7, key, rnd)
+
+
+class TestSlotBasisEncryption:
+    """Dim 4 encryption as r * sum(Q_j) + (x - r) * P_c from the key's
+    cached slot projectors Q_j and slot sums P_c."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_every_row_choice_pattern_equals_two_products(self, m):
+        key, rng = make_key(m, 4, 64, m)
+        n = key.modulus.n
+        others = KeyTuple(key.modulus, key.k,
+                          random_invertible(4, n, random.Random(m)))
+        assert not others.verify()
+        parsed = parse_key(serialize_key(key))
+        for kt in (key, others, parsed):
+            for choices in itertools.product((1, 2, 3), repeat=m):
+                for _ in range(2):
+                    x = rng.randrange(n)
+                    r = (x + 1 + rng.randrange(n - 1)) % n
+                    rnd = Enc4Randomness(r=r, row_choices=choices)
+                    assert enc4(x, kt, rnd).body == two_products(x, kt, rnd)
+            assert len(kt.slot_sums) == 3 ** m
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_cache_holds_one_sum_per_pattern(self, m):
+        key, rng = make_key(m, 4, 16, 10 + m)
+        seen = set()
+        for _ in range(200):
+            x = rng.randrange(key.modulus.n)
+            rnd = sample_enc4_randomness(x, key.modulus, rng)
+            seen.add(rnd.row_choices)
+            assert dec(enc4(x, key, rnd), key) == x
+        assert set(key.slot_sums) == seen
+        assert len(key.slot_sums) <= 3 ** m
+
+    def test_projector_sum_is_identity_for_a_key_pair(self):
+        key, _ = make_key(2, 4, 256, 3)
+        assert key.projector_sum == ((0, 1), (5, 1), (10, 1), (15, 1))
+        assert key.slot_projectors is key.slot_projectors
+
+    def test_equal_keys_give_equal_bodies(self):
+        key, rng = make_key(2, 4, 256, 4)
+        twin = KeyTuple(key.modulus, key.k, key.k_inv)
+        assert twin == key and twin is not key
+        for _ in range(20):
+            x = rng.randrange(key.modulus.n)
+            rnd = sample_enc4_randomness(x, key.modulus, rng)
+            assert enc4(x, key, rnd).body == enc4(x, twin, rnd).body
+
+    def test_wrong_choice_count_is_not_cached(self):
+        key, _ = make_key(2, 4, 16, 5)
+        for choices in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="one slot row per factor"):
+                enc4(3, key, Enc4Randomness(r=4, row_choices=choices))
+        assert key.slot_sums == {}
 
 
 class TestTopLeftDecryption:
