@@ -76,17 +76,29 @@ def kpa_collision_estimate(key, x, trials, rng):
     Encrypts x once as the target, then re-encrypts trials times with fresh
     coins for the key's dimension, counting exact ciphertext matches.
     Conjugation by the fixed key is a bijection on matrices, so two
-    ciphertexts under one key are equal exactly when their diagonals are;
-    comparing diagonals keeps a million trials cheap.
+    ciphertexts under one key are equal exactly when their diagonals are.
+    A slot row holds x once and each blind w times (w = 2 at dim 4, 3 at
+    dim 8) and the CRT basis sums to 1, so a diagonal's trace is
+    2x + w * sum(blinds) mod N. Equal diagonals have equal traces, so only
+    the about 1 in N trials whose blind term matches the target's are
+    folded and compared in full; the hit count stays exact.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     modulus = key.modulus
-    sample = sample_enc4_randomness if key.dim == 4 else sample_enc8_randomness
-    target = encryption_diagonal(x, modulus, sample(x, modulus, rng))
+    n = modulus.n
+    if not 0 <= x < n:
+        raise ValueError(f"plaintext must lie in [0, {n})")
+    sample, w = ((sample_enc4_randomness, 2) if key.dim == 4
+                 else (sample_enc8_randomness, 3))
+    rnd = sample(x, modulus, rng)
+    screen = w * sum(rnd.blinds) % n
+    target = encryption_diagonal(x, modulus, rnd)
     hits = 0
     for _ in range(trials):
-        if encryption_diagonal(x, modulus, sample(x, modulus, rng)) == target:
+        rnd = sample(x, modulus, rng)
+        if (w * sum(rnd.blinds) % n == screen
+                and encryption_diagonal(x, modulus, rnd) == target):
             hits += 1
     return hits / trials
 

@@ -130,6 +130,7 @@ class TestKpaCollision:
         fraction = kpa_collision_estimate(key, 5, trials, random.Random(12))
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(fraction - p) <= 3 * sigma
+        assert round(fraction * trials) == 491
 
     def test_reference_modulus_band(self, key_a):
         # A collision at N = 1155, m = 2 needs the same blind (1/1154) and
@@ -144,6 +145,7 @@ class TestKpaCollision:
                                           random.Random(1))
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(fraction - p) <= 3 * sigma
+        assert round(fraction * trials) == 10
 
     def test_dim8_key_draws_enc8_coins(self):
         # At N = 15, m = 1, enc4 coins would collide at 1/(14 * 3), about
@@ -154,10 +156,18 @@ class TestKpaCollision:
         assert key.modulus.n == 15
         fraction = kpa_collision_estimate(key, 4, 20000, random.Random(12))
         assert fraction < 0.002
+        assert round(fraction * 20000) == 3
 
     def test_trials_validated(self, key_a):
         with pytest.raises(ValueError):
             kpa_collision_estimate(key_a, 257, 0, random.Random(1))
+
+    def test_plaintext_validated(self, key_a):
+        # An unreduced x in slot 0 would let a blind equal x mod N.
+        for x in (-1, N, N + 257):
+            with pytest.raises(ValueError,
+                               match=r"plaintext must lie in \[0, 1155\)"):
+                kpa_collision_estimate(key_a, x, 10, random.Random(1))
 
 
 SECOND_MOD = RingModulus(m=2, bits=8, p=(3, 13), q=(5, 11),

@@ -3,10 +3,11 @@
 Encryption folds each diagonal slot through the modulus's cached CRT
 basis; dim 4 encryption sums the key's cached slot projectors and dim 8
 scales the columns of k_inv instead of multiplying by a diagonal matrix;
-decryption computes only the top-left entry of k * C * k_inv. Each
-property below pits one of these against the straightforward computation
-it replaces: crt_solve per slot, two full matrix products, and the full
-recovered diagonal.
+decryption computes only the top-left entry of k * C * k_inv; the
+collision estimate folds a trial's diagonal only when its trace matches
+the target's. Each property below pits one of these against the
+straightforward computation it replaces: crt_solve per slot, two full
+matrix products, the full recovered diagonal, and folding every trial.
 """
 
 import itertools
@@ -15,6 +16,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matfhe import analysis
+from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
                            dec_diagonal, enc4, enc8, encryption_diagonal,
                            lock, sample_enc4_randomness,
@@ -29,6 +32,7 @@ from matfhe.ring import GenerationError, crt_solve, generate_coprime_set
 from known_answers import KA, KA_INV, MOD
 
 KEYGEN = {4: keygen4, 8: keygen8}
+SAMPLE = {4: sample_enc4_randomness, 8: sample_enc8_randomness}
 
 cases = st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((4, 8)),
                   st.sampled_from((16, 64, 256)),
@@ -187,6 +191,101 @@ class TestSlotBasisEncryption:
             with pytest.raises(ValueError, match="one slot row per factor"):
                 enc4(3, key, Enc4Randomness(r=4, row_choices=choices))
         assert key.slot_sums == {}
+
+
+def folding_estimate(key, x, trials, rng):
+    """The collision estimate without its trace screen: every trial's
+    diagonal is folded and compared with the target's."""
+    modulus, sample = key.modulus, SAMPLE[key.dim]
+    target = encryption_diagonal(x, modulus, sample(x, modulus, rng))
+    hits = 0
+    for _ in range(trials):
+        if encryption_diagonal(x, modulus, sample(x, modulus, rng)) == target:
+            hits += 1
+    return hits / trials
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19)
+
+
+class TestTraceScreen:
+    """kpa_collision_estimate rejects a trial by the trace 2x + w * sum(blinds)
+    (w = 2 at dim 4, 3 at dim 8) and folds only the trials that pass."""
+
+    KEYS = {
+        "dim4-N21": (keygen4(1, 8, random.Random(11), candidates=[3, 7]),
+                     5, 600),
+        "dim4-N1155": (KeyTuple(MOD, KA, KA_INV), 257, 3000),
+        "dim4-m3": (keygen4(3, 8, random.Random(11),
+                            candidates=[3, 5, 7, 11, 13, 17]), 1000, 1000),
+        "dim8-N15": (keygen8(1, 8, random.Random(11), candidates=(3, 5)),
+                     4, 1500),
+        "dim8-N21": (keygen8(1, 8, random.Random(11), candidates=(3, 7)),
+                     9, 1500),
+    }
+
+    @staticmethod
+    def assert_same_as_folding(key, x, trials, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        got = kpa_collision_estimate(key, x, trials, rng)
+        assert got == folding_estimate(key, x, trials, twin)
+        assert rng.random() == twin.random()
+        return round(got * trials)
+
+    @pytest.mark.parametrize("name", sorted(KEYS))
+    def test_hit_counts_equal_folding_every_trial(self, name):
+        key, x, trials = self.KEYS[name]
+        hits = [self.assert_same_as_folding(key, x, trials, seed)
+                for seed in range(20)]
+        if key.modulus.n < 100:
+            assert sum(hits) > 0
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    def test_targets_with_a_blind_congruent_to_x(self, dim):
+        # A target blind congruent to x mod one factor makes that factor's
+        # row choice irrelevant for the target (and triples the dim 4
+        # rate); the screen must not drop the extra hits.
+        key = KEYGEN[dim](2, 8, random.Random(1), candidates=[3, 5, 7, 11])
+        modulus, x = key.modulus, 257
+        seeds = [seed for seed in range(400)
+                 if any((b - x) % f == 0 for f in modulus.f
+                        for b in SAMPLE[dim](x, modulus,
+                                             random.Random(seed)).blinds)]
+        assert len(seeds) >= 8
+        hits = sum(self.assert_same_as_folding(key, x, 3000, seed)
+                   for seed in seeds[:8])
+        if dim == 4:
+            assert hits > 0
+
+    def test_folds_only_trials_that_pass_the_screen(self, monkeypatch):
+        folds = []
+
+        def counting(*args):
+            folds.append(args)
+            return encryption_diagonal(*args)
+
+        monkeypatch.setattr(analysis, "encryption_diagonal", counting)
+        trials = 3000
+        kpa_collision_estimate(KeyTuple(MOD, KA, KA_INV), 257, trials,
+                               random.Random(1))
+        assert 1 <= len(folds) <= 1 + trials // 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3),
+           st.permutations(SMALL_PRIMES), st.sampled_from((4, 8)),
+           st.integers(min_value=0, max_value=2**32))
+    def test_trace_is_taken_from_the_blinds(self, m, primes, dim, seed):
+        modulus = generate_coprime_set(m, 8, candidates=primes)
+        n = modulus.n
+        rng = random.Random(seed)
+        x = rng.randrange(n)
+        if dim == 4:
+            rnd = sample_enc4_randomness(x, modulus, rng)
+            trace = 2 * x + 2 * rnd.r
+        else:
+            rnd = sample_enc8_randomness(x, modulus, rng)
+            trace = 2 * x + 3 * (rnd.r1 + rnd.r2)
+        assert sum(encryption_diagonal(x, modulus, rnd)) % n == trace % n
 
 
 class TestTopLeftDecryption:
