@@ -114,8 +114,7 @@ def cmd_protocol_demo(args):
                   file=sys.stderr)
             return 5
     result, transcript = run_protocol(args.formula, data, keyset, rng)
-    with open(args.transcript, "w", encoding="ascii", newline="") as fh:
-        fh.write(serialize_transcript(transcript))
+    formats.write_text(args.transcript, serialize_transcript(transcript))
     print(result)
     return 0
 

@@ -6,7 +6,16 @@ integers decimal. parse(serialize(x)) is the identity byte for byte.
 
 Key files carry the factors f_i (secret material the CRT step needs);
 ciphertext files carry only the public modulus N.
+
+Writing serializes first, so a refused object leaves the file as it was,
+then overwrites the file in place (symlinks and hard links keep sharing
+it) and cuts it to length. Reading checks each integer line whole (ASCII
+digits and commas, no empty entry); a refused line is walked entry by
+entry only to name the bad entry.
 """
+
+import os
+import stat
 
 from .cipher import Ciphertext
 from .keys import KEY_DIMS, KeySet, KeyTuple
@@ -22,21 +31,19 @@ class MalformedFileError(ValueError):
 
 def entries_text(matrix):
     """Matrix entries as comma-separated decimals, row-major."""
-    return ",".join(str(v) for v in matrix.entries)
+    return ",".join(map(str, matrix.entries))
 
 
 def matrix_from_text(text, dim, modulus):
-    parts = text.split(",") if text else []
-    if len(parts) != dim * dim:
+    count = text.count(",") + 1 if text else 0
+    if count != dim * dim:
         raise MalformedFileError(
-            f"expected {dim * dim} matrix entries, got {len(parts)}")
-    entries = []
-    for part in parts:
-        value = _parse_int(part, "matrix entry")
-        if value >= modulus:
-            raise MalformedFileError(f"matrix entry {value} not reduced mod {modulus}")
-        entries.append(value)
-    return Matrix(dim, modulus, tuple(entries))
+            f"expected {dim * dim} matrix entries, got {count}")
+    entries = _parse_int_list(text, "matrix entry")
+    if max(entries) >= modulus:
+        value = next(v for v in entries if v >= modulus)
+        raise MalformedFileError(f"matrix entry {value} not reduced mod {modulus}")
+    return Matrix(dim, modulus, entries)
 
 
 def _parse_int(text, what):
@@ -46,7 +53,12 @@ def _parse_int(text, what):
 
 
 def _parse_int_list(text, what):
-    return tuple(_parse_int(part, what) for part in text.split(","))
+    parts = text.split(",")
+    if not (text.isascii() and text.encode("ascii").replace(b",", b"").isdigit()
+            and "" not in parts):
+        for part in parts:
+            _parse_int(part, what)  # raises on the first bad entry
+    return tuple(map(int, parts))
 
 
 class _LineReader:
@@ -184,21 +196,29 @@ def parse_keyset(text):
     return KeySet(modulus, components, master)
 
 
+def write_text(path, text):
+    """Overwrite path in place, then cut a regular file to the text's length
+    (devices and pipes, which ignore O_TRUNC, refuse truncate())."""
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def read_key(path):
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return parse_key(fh.read())
+    with open(path, "rb") as fh:
+        return parse_key(fh.read().decode("ascii"))
 
 
 def write_key(path, key):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(serialize_key(key))
+    write_text(path, serialize_key(key))
 
 
 def read_ciphertext(path):
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return parse_ciphertext(fh.read())
+    with open(path, "rb") as fh:
+        return parse_ciphertext(fh.read().decode("ascii"))
 
 
 def write_ciphertext(path, ct, modulus):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(serialize_ciphertext(ct, modulus))
+    write_text(path, serialize_ciphertext(ct, modulus))

@@ -12,10 +12,13 @@ import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from matfhe.cipher import Ciphertext, dec, enc4, enc8
 from matfhe.formats import (
     MalformedFileError,
+    _parse_int_list,
+    matrix_from_text,
     parse_ciphertext,
     parse_key,
     parse_keyset,
@@ -225,7 +228,86 @@ def test_serialize_ciphertext_rejects_foreign_modulus(ct_a):
         serialize_ciphertext(ct_a, other)
 
 
+# --- overwriting files in place ---
+
+
+@pytest.fixture(scope="module")
+def big_key():
+    """A dim 8 key at lambda=256: its files are longer than key_a's."""
+    return keygen8(2, 256, random.Random(13))
+
+
+def test_shorter_key_overwrites_longer_file_whole(tmp_path, big_key, key_a):
+    path = tmp_path / "k.key"
+    write_key(path, big_key)
+    assert len(path.read_bytes()) > len(serialize_key(key_a))
+    write_key(path, key_a)
+    assert path.read_bytes() == serialize_key(key_a).encode("ascii")
+
+
+def test_shorter_ciphertext_overwrites_longer_file_whole(tmp_path, big_key, ct_a):
+    path = tmp_path / "c.ct"
+    big_ct = enc8(12345, big_key, random.Random(14))
+    write_ciphertext(path, big_ct, big_key.modulus)
+    assert len(path.read_bytes()) > len(serialize_ciphertext(ct_a, MOD))
+    write_ciphertext(path, ct_a, MOD)
+    assert path.read_bytes() == serialize_ciphertext(ct_a, MOD).encode("ascii")
+
+
+def test_refused_write_leaves_file_unchanged(tmp_path, ct_a):
+    from matfhe.ring import RingModulus
+    other = RingModulus(m=1, bits=8, p=None, q=None, f=(77,), n=77)
+    path = tmp_path / "a.ct"
+    write_ciphertext(path, ct_a, MOD)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="disagree"):
+        write_ciphertext(path, ct_a, other)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_file_mode_matches_plain_open(tmp_path, key_a, mask):
+    old = os.umask(mask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        write_key(tmp_path / "k.key", key_a)
+    finally:
+        os.umask(old)
+    assert (os.stat(tmp_path / "k.key").st_mode
+            == os.stat(tmp_path / "plain").st_mode)
+
+
+def test_write_follows_symlinks_and_shares_hard_links(tmp_path, big_key, key_a):
+    target = tmp_path / "target.key"
+    link = tmp_path / "link.key"
+    hard = tmp_path / "hard.key"
+    write_key(target, big_key)
+    link.symlink_to(target)
+    os.link(target, hard)
+    write_key(link, key_a)
+    assert link.is_symlink()
+    want = serialize_key(key_a).encode("ascii")
+    assert target.read_bytes() == want
+    assert hard.read_bytes() == want
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX null device")
+def test_write_to_a_device(key_a):
+    # A device cannot be truncated; writing to it still succeeds.
+    write_key(os.devnull, key_a)
+
+
 # --- malformed input ---
+
+
+def replace_k_entry(text, index, replacement):
+    """Replace entry index of the k= line (an empty replacement leaves an
+    empty part, or a trailing comma when index is the last entry)."""
+    body = text.split("\nk=")[1].split("\n")[0]
+    parts = body.split(",")
+    parts[index] = replacement
+    return text.replace("k=" + body, "k=" + ",".join(parts))
 
 
 @pytest.mark.parametrize("wreck,match", [
@@ -245,6 +327,13 @@ def test_serialize_ciphertext_rejects_foreign_modulus(ct_a):
     (lambda t: mutate_line(t, "N=", "N=\uff11\uff11\uff15\uff15"),
      "bad N: '\uff11\uff11\uff15\uff15'"),
     (lambda t: mutate_line(t, "N=", "N=1_155"), "bad N: '1_155'"),
+    (lambda t: mutate_line(t, "f=", "f=21,5_5"), "bad factor: '5_5'"),
+    (lambda t: replace_k_entry(t, 3, "\u0662"), "bad matrix entry: '\u0662'"),
+    (lambda t: replace_k_entry(t, 3, "1_2"), "bad matrix entry: '1_2'"),
+    (lambda t: replace_k_entry(t, 3, "+5"), "bad matrix entry: '\\+5'"),
+    (lambda t: replace_k_entry(t, 3, " 5"), "bad matrix entry: ' 5'"),
+    (lambda t: replace_k_entry(t, 3, ""), "bad matrix entry: ''"),
+    (lambda t: replace_k_entry(t, 15, ""), "bad matrix entry: ''"),
     (lambda t: mutate_line(t, "dim=", "dim=3"), "bad key dimension"),
     (lambda t: t + "x\n", "trailing data"),
     (lambda t: t + "\n", "trailing data"),
@@ -275,6 +364,43 @@ def test_key_wrong_entry_count_rejected():
     wrecked = text.replace("k=" + body, "k=" + body.rsplit(",", 1)[0])
     with pytest.raises(MalformedFileError, match="expected 16 matrix entries, got 15"):
         parse_key(wrecked)
+
+
+def _per_entry_ints(text):
+    """Reference parser, entry by entry: None when any entry is not a
+    non-empty run of ASCII digits."""
+    values = []
+    for part in text.split(","):
+        if not (part.isdigit() and part.isascii()):
+            return None
+        values.append(int(part))
+    return tuple(values)
+
+
+_LINE_CHARS = "0123456789,_+- \u0662"
+_ENTRY = st.one_of(st.integers(0, 1500).map(str),
+                   st.text(alphabet=_LINE_CHARS.replace(",", ""), max_size=4))
+
+
+@given(st.one_of(st.text(alphabet=_LINE_CHARS, max_size=30),
+                 st.lists(_ENTRY, min_size=1, max_size=6).map(",".join)))
+def test_int_list_matches_per_entry_parser(text):
+    want = _per_entry_ints(text)
+    if want is None:
+        with pytest.raises(MalformedFileError, match="bad factor"):
+            _parse_int_list(text, "factor")
+    else:
+        assert _parse_int_list(text, "factor") == want
+
+
+@given(st.lists(_ENTRY, min_size=16, max_size=16).map(",".join))
+def test_matrix_line_matches_per_entry_parser(text):
+    want = _per_entry_ints(text)
+    if want is None or max(want) >= N:
+        with pytest.raises(MalformedFileError):
+            matrix_from_text(text, 4, N)
+    else:
+        assert matrix_from_text(text, 4, N).entries == want
 
 
 @pytest.mark.parametrize("wreck,match", [
