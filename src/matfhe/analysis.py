@@ -13,8 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cipher import (Enc4Randomness, dec, enc4, encryption_diagonal,
-                     sample_enc4_randomness, sample_enc8_randomness)
+from .cipher import (Enc4Randomness, Enc8Randomness, _draw_enc4, _draw_enc8,
+                     dec, enc4, encryption_diagonal)
 from .keys import KeyTuple
 from .matrix import (Matrix, determinant, diagonal, inverse, is_invertible,
                      mat_mul)
@@ -79,9 +79,11 @@ def kpa_collision_estimate(key, x, trials, rng):
     ciphertexts under one key are equal exactly when their diagonals are.
     A slot row holds x once and each blind w times (w = 2 at dim 4, 3 at
     dim 8) and the CRT basis sums to 1, so a diagonal's trace is
-    2x + w * sum(blinds) mod N. Equal diagonals have equal traces, so only
-    the about 1 in N trials whose blind term matches the target's are
-    folded and compared in full; the hit count stays exact.
+    2x + w * sum(blinds) mod N. Equal diagonals have equal traces, so each
+    trial is a raw coin draw screened by its blinds: it builds no coin
+    object unless its blind term matches the target's, and only those
+    about 1 in N trials are folded and compared in full; the hit count
+    stays exact.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -89,16 +91,17 @@ def kpa_collision_estimate(key, x, trials, rng):
     n = modulus.n
     if not 0 <= x < n:
         raise ValueError(f"plaintext must lie in [0, {n})")
-    sample, w = ((sample_enc4_randomness, 2) if key.dim == 4
-                 else (sample_enc8_randomness, 3))
-    rnd = sample(x, modulus, rng)
+    draw, coins, w = ((_draw_enc4, Enc4Randomness, 2) if key.dim == 4
+                      else (_draw_enc8, Enc8Randomness, 3))
+    m = modulus.m
+    rnd = coins(*draw(x, n, m, rng))
     screen = w * sum(rnd.blinds) % n
     target = encryption_diagonal(x, modulus, rnd)
     hits = 0
     for _ in range(trials):
-        rnd = sample(x, modulus, rng)
-        if (w * sum(rnd.blinds) % n == screen
-                and encryption_diagonal(x, modulus, rnd) == target):
+        drawn = draw(x, n, m, rng)
+        if (w * sum(drawn[:-1]) % n == screen
+                and encryption_diagonal(x, modulus, coins(*drawn)) == target):
             hits += 1
     return hits / trials
 

@@ -99,19 +99,18 @@ def _draw_blind(taken, n, rng):
     return b
 
 
-def sample_enc4_randomness(x, modulus, rng):
-    """Uniform enc4 coins: r from Z_n minus {x}, row choices uniform."""
-    return Enc4Randomness(
-        r=_draw_blind((x,), modulus.n, rng),
-        row_choices=tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
+def _draw_enc4(x, n, m, rng):
+    """Raw enc4 coins (r, row_choices), with no coin object built."""
+    return (_draw_blind((x,), n, rng),
+            tuple(rng.randrange(1, 4) for _ in range(m)))
 
 
-def sample_enc8_randomness(x, modulus, rng):
-    """Uniform enc8 coins: distinct blinds, arrangements uniform over 140."""
-    r1 = _draw_blind((x,), modulus.n, rng)
-    r2 = _draw_blind((x, r1), modulus.n, rng)
+def _draw_enc8(x, n, m, rng):
+    """Raw enc8 coins (r1, r2, rows), with no coin object built."""
+    r1 = _draw_blind((x,), n, rng)
+    r2 = _draw_blind((x, r1), n, rng)
     rows = []
-    for _ in range(modulus.m):
+    for _ in range(m):
         slots = ["r2"] * 7
         x_pos = rng.randrange(7)
         slots[x_pos] = "x"
@@ -119,7 +118,17 @@ def sample_enc8_randomness(x, modulus, rng):
         for i in rng.sample(rest, 3):
             slots[i] = "r1"
         rows.append(tuple(slots))
-    return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
+    return r1, r2, tuple(rows)
+
+
+def sample_enc4_randomness(x, modulus, rng):
+    """Uniform enc4 coins: r from Z_n minus {x}, row choices uniform."""
+    return Enc4Randomness(*_draw_enc4(x, modulus.n, modulus.m, rng))
+
+
+def sample_enc8_randomness(x, modulus, rng):
+    """Uniform enc8 coins: distinct blinds, arrangements uniform over 140."""
+    return Enc8Randomness(*_draw_enc8(x, modulus.n, modulus.m, rng))
 
 
 def _check_row_count(rows, modulus):

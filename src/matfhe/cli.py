@@ -182,6 +182,8 @@ def _median_call_time(fn, fn_args, calls, reps):
 
 def cmd_bench(args):
     _check_modulus_args(args)
+    if args.reps < 1:
+        raise _ParamError("--reps must be >= 1")
     rng = random.Random(args.seed)
     key = keygen4(args.m, args.bits, rng)
     n = key.modulus.n

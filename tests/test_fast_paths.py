@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from matfhe import analysis
 from matfhe.analysis import kpa_collision_estimate
-from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
-                           dec_diagonal, enc4, enc8, encryption_diagonal,
-                           lock, sample_enc4_randomness,
-                           sample_enc8_randomness)
+from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
+                           _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
+                           enc8, encryption_diagonal, lock,
+                           sample_enc4_randomness, sample_enc8_randomness)
 from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8
 from matfhe import matrix
@@ -193,6 +193,66 @@ class TestSlotBasisEncryption:
         assert key.slot_sums == {}
 
 
+def oracle_blind(taken, n, rng):
+    """Uniform over Z_n minus taken, redrawing on every hit."""
+    b = rng.randrange(n)
+    while b in taken:
+        b = rng.randrange(n)
+    return b
+
+
+def oracle_enc4_coins(x, modulus, rng):
+    """The enc4 sampler as written before its raw draw was split out."""
+    return Enc4Randomness(
+        r=oracle_blind((x,), modulus.n, rng),
+        row_choices=tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
+
+
+def oracle_enc8_coins(x, modulus, rng):
+    """The enc8 sampler as written before its raw draw was split out."""
+    r1 = oracle_blind((x,), modulus.n, rng)
+    r2 = oracle_blind((x, r1), modulus.n, rng)
+    rows = []
+    for _ in range(modulus.m):
+        slots = ["r2"] * 7
+        x_pos = rng.randrange(7)
+        slots[x_pos] = "x"
+        rest = [i for i in range(7) if i != x_pos]
+        for i in rng.sample(rest, 3):
+            slots[i] = "r1"
+        rows.append(tuple(slots))
+    return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
+
+
+class TestRawDraws:
+    """The raw coin draws make the old samplers' RNG calls in their order,
+    so every seeded output stays as it was."""
+
+    MODULI = {
+        "N15": generate_coprime_set(1, 8, candidates=(3, 5)),
+        "N21": generate_coprime_set(1, 8, candidates=(3, 7)),
+        **{f"l256-m{m}": generate_coprime_set(m, 256, random.Random(m))
+           for m in (1, 2, 3)},
+    }
+    DRAWS = {4: (_draw_enc4, Enc4Randomness, oracle_enc4_coins),
+             8: (_draw_enc8, Enc8Randomness, oracle_enc8_coins)}
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    @pytest.mark.parametrize("name", sorted(MODULI))
+    def test_coins_and_next_draw_equal_the_old_sampler(self, name, dim):
+        modulus = self.MODULI[name]
+        draw, coins, oracle = self.DRAWS[dim]
+        sample, picks = SAMPLE[dim], random.Random(name)
+        for seed in range(20):
+            rng, twin, sampled = (random.Random(seed) for _ in range(3))
+            for _ in range(30):
+                x = picks.randrange(modulus.n)
+                want = oracle(x, modulus, twin)
+                assert coins(*draw(x, modulus.n, modulus.m, rng)) == want
+                assert sample(x, modulus, sampled) == want
+            assert rng.random() == twin.random() == sampled.random()
+
+
 def folding_estimate(key, x, trials, rng):
     """The collision estimate without its trace screen: every trial's
     diagonal is folded and compared with the target's."""
@@ -269,6 +329,22 @@ class TestTraceScreen:
         kpa_collision_estimate(KeyTuple(MOD, KA, KA_INV), 257, trials,
                                random.Random(1))
         assert 1 <= len(folds) <= 1 + trials // 100
+
+    def test_builds_coins_only_on_a_hit(self, monkeypatch):
+        # A trial's raw draw is screened by its blinds; only the target and
+        # the trials that pass become coin objects, however they are drawn.
+        built = []
+        check = Enc4Randomness.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Enc4Randomness, "__post_init__", counting)
+        trials = 3000
+        kpa_collision_estimate(KeyTuple(MOD, KA, KA_INV), 257, trials,
+                               random.Random(1))
+        assert 1 <= len(built) <= 1 + trials // 100
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=3),
