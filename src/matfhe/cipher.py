@@ -14,8 +14,11 @@ over the key's rank-1 slot projectors Q_j = (column j of k_inv) * (row j
 of k). So under a key pair every dim 4 ciphertext is
 C = r * I + (x - r) * P_c, where the slot sum P_c depends only on the row
 choices c; the key caches its at most 3^m of them, and a warm encryption
-is 16 multiplications. Dim 8 keeps the column-scaled product (see
-_encrypt).
+is 16 multiplications. A fresh key pays on first use for its projectors
+(64 multiplications) and, per new pattern, for P_c: one pass of 16
+multiply-adds per factor and one reduction. Given an rng, enc4 draws its
+coins raw and builds no coin object. Dim 8 keeps the column-scaled
+product (see _encrypt).
 """
 
 from dataclasses import dataclass
@@ -152,22 +155,25 @@ def encryption_diagonal(x, modulus, rnd):
 
 def _slot_sum(key, choices):
     """P_c = Q_0 + sum(e_i * Q_{c_i}) mod n for row choices c, cached on the
-    key: the dim 4 encryption of 1 with blind 0."""
+    key: the dim 4 encryption of 1 with blind 0. Each factor adds e_i times
+    one projector to the running rows, and the sum is reduced once."""
     modulus = key.modulus
     _check_row_count(choices, modulus)
-    weights = [1, 0, 0, 0]
+    q = key.slot_projectors
+    total = q[0]
     for c, e in zip(choices, modulus.crt_basis):
-        weights[c] += e
+        total = [t + e * v for t, v in zip(total, q[c])]
     n = modulus.n
-    total = tuple(sum(w * v for w, v in zip(weights, q)) % n
-                  for q in zip(*key.slot_projectors))
+    total = tuple(t % n for t in total)
     key.slot_sums[choices] = total
     return total
 
 
-def _encrypt(x, key, rnd, dim, coins, sample):
+def _encrypt(x, key, rnd, dim):
     """k_inv * diag(D) * k for x's encryption diagonal D. rnd is fixed coins
-    or an rng to sample them from.
+    or an rng to draw them from: dim 4 takes an rng's (r, row choices) raw
+    from _draw_enc4, with no coin object built; dim 8 samples an
+    Enc8Randomness. Either way the blinds pass one check.
 
     At dim 4, D = r * (1, ..., 1) + (x - r) * D(1, 0), since the CRT basis
     sums to 1, and k_inv * diag(D) * k = sum(D_j * Q_j) over the key's slot
@@ -185,17 +191,22 @@ def _encrypt(x, key, rnd, dim, coins, sample):
         raise ValueError(f"enc{dim} needs a dim {dim} key")
     if not 0 <= x < n:
         raise ValueError(f"plaintext must lie in [0, {n})")
-    if not isinstance(rnd, coins):
-        rnd = sample(x, modulus, rnd)
+    if dim == 4:
+        r, choices = ((rnd.r, tuple(rnd.row_choices))
+                      if isinstance(rnd, Enc4Randomness)
+                      else _draw_enc4(x, n, modulus.m, rnd))
+        blinds = (r,)
+    else:
+        if not isinstance(rnd, Enc8Randomness):
+            rnd = sample_enc8_randomness(x, modulus, rnd)
+        blinds = rnd.blinds
     taken = [x]
-    for b in rnd.blinds:
+    for b in blinds:
         if not 0 <= b < n or b in taken:
             raise ValueError("need distinct blinds in [0, n), none equal to x")
         taken.append(b)
     if dim == 4:
-        choices = tuple(rnd.row_choices)
         total = key.slot_sums.get(choices) or _slot_sum(key, choices)
-        r = rnd.r
         t = x - r
         body = [t * p % n for p in total]
         for i, s in key.projector_sum:
@@ -209,12 +220,12 @@ def _encrypt(x, key, rnd, dim, coins, sample):
 
 def enc4(x, key, rnd):
     """Encrypt x under a dim 4 key; rnd is an Enc4Randomness or an rng."""
-    return _encrypt(x, key, rnd, 4, Enc4Randomness, sample_enc4_randomness)
+    return _encrypt(x, key, rnd, 4)
 
 
 def enc8(x, key, rnd):
     """Encrypt x under a dim 8 key; rnd is an Enc8Randomness or an rng."""
-    return _encrypt(x, key, rnd, 8, Enc8Randomness, sample_enc8_randomness)
+    return _encrypt(x, key, rnd, 8)
 
 
 def encrypt_value(x, key, rng):

@@ -125,6 +125,9 @@ def _tokenize(text):
     return tokens
 
 
+MAX_DEPTH = 200
+
+
 def parse_expr(text):
     """Parse a formula into an AST.
 
@@ -132,57 +135,80 @@ def parse_expr(text):
         expr   := term (('+' | '-') term)*
         term   := factor (('*' | '/') factor)*
         factor := integer | name | '(' expr ')'
+
+    A formula whose tree is more than MAX_DEPTH operators deep, or whose
+    parentheses nest more than MAX_DEPTH deep, raises ExprSyntaxError at
+    the operator or '(' that goes past the limit. So neither this parser
+    nor a walk of a parsed tree reaches the interpreter's recursion limit,
+    and format_expr's output of a parsed tree parses back.
     """
     tokens = _tokenize(text)
     pos = 0
 
-    def current():
-        return tokens[pos]
-
     def fail(expected):
-        kind, value, offset = current()
+        kind, value, offset = tokens[pos]
         found = "end of input" if kind == "end" else repr(value)
         raise ExprSyntaxError(offset, expected, found)
 
-    def take(kind):
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def too_deep(tok):
+        raise ExprSyntaxError(
+            tok[2], f"at most {MAX_DEPTH} levels of nesting", repr(tok[1]))
+
+    # Each rule returns its node and the node's depth in operators; parens
+    # counts the parentheses open around the current token.
+    parens = 0
 
     def factor():
-        kind, value, _ = current()
+        nonlocal pos, parens
+        tok = tokens[pos]
+        kind = tok[0]
         if kind == "int":
-            take(kind)
-            return Const(int(value))
+            pos += 1
+            return Const(int(tok[1])), 0
         if kind == "name":
-            take(kind)
-            return Ref(value)
+            pos += 1
+            return Ref(tok[1]), 0
         if kind == "(":
-            take(kind)
-            node = expr()
-            if current()[0] != ")":
+            pos += 1
+            parens += 1
+            if parens > MAX_DEPTH:
+                too_deep(tok)
+            inner = expr()
+            if tokens[pos][0] != ")":
                 fail("')'")
-            take(")")
-            return node
+            pos += 1
+            parens -= 1
+            return inner
         fail("integer, name, or '('")
 
     def term():
-        node = factor()
-        while current()[0] in ("*", "/"):
-            op = take(current()[0])[0]
-            node = BinOp(op, node, factor())
-        return node
+        nonlocal pos
+        node, depth = factor()
+        while tokens[pos][0] in ("*", "/"):
+            tok = tokens[pos]
+            pos += 1
+            right, right_depth = factor()
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                too_deep(tok)
+            node = BinOp(tok[0], node, right)
+        return node, depth
 
     def expr():
-        node = term()
-        while current()[0] in ("+", "-"):
-            op = take(current()[0])[0]
-            node = BinOp(op, node, term())
-        return node
+        nonlocal pos
+        node, depth = term()
+        while tokens[pos][0] in ("+", "-"):
+            tok = tokens[pos]
+            pos += 1
+            right, right_depth = term()
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                too_deep(tok)
+            node = BinOp(tok[0], node, right)
+        return node, depth
 
-    node = expr()
-    if current()[0] != "end":
+    node, _ = expr()
+    if tokens[pos][0] != "end":
         fail("operator or end of input")
     return node
 

@@ -117,9 +117,11 @@ class RingModulus:
     @cached_property
     def crt_basis(self):
         """CRT idempotents e_i, 1 mod f_i and 0 mod every other f_j: the
-        value with residues r_i mod f_i is sum(r_i * e_i) mod n."""
-        return tuple((self.n // f) * pow(self.n // f, -1, f) % self.n
-                     for f in self.f)
+        value with residues r_i mod f_i is sum(r_i * e_i) mod n. They sum
+        to 1 mod n, so the last is 1 minus the others, with no inverse."""
+        n = self.n
+        basis = [(n // f) * pow(n // f, -1, f) % n for f in self.f[:-1]]
+        return tuple(basis) + ((1 - sum(basis)) % n,)
 
 
 def generate_coprime_set(m, bits, rng=None, candidates=None):

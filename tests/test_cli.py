@@ -151,6 +151,28 @@ def test_eval_syntax_error_exit_6():
     assert "offset 2" in r.stderr
 
 
+@pytest.mark.parametrize("expr, offset", [
+    ("+".join(["a"] * 1500), 401),
+    ("(" * 400 + "a" + ")" * 400, 200),
+], ids=["sum-1500", "parens-400"])
+def test_eval_too_deep_formula_exit_6(tmp_path, expr, offset):
+    out = tmp_path / "r.ct"
+    r = run_cli("eval", "--key", KEY_B, "--expr", expr,
+                "--input", f"a={CT_B5}", "--out", out)
+    assert r.returncode == 6, r.stderr
+    assert f"at most 200 levels of nesting at offset {offset}" in r.stderr
+    assert "Traceback" not in r.stderr and not out.exists()
+
+
+def test_eval_formula_at_the_depth_limit(tmp_path):
+    out = tmp_path / "r.ct"
+    r = run_cli("eval", "--key", KEY_B, "--expr", "+".join(["a"] * 201),
+                "--input", f"a={CT_B5}", "--out", out)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("decrypt", "--key", KEY_B, "--in", out)
+    assert r.stdout == f"{5 * 201 % 1155}\n"
+
+
 def test_eval_unbound_input_exit_7():
     r = run_cli("eval", "--key", KEY_B, "--expr", "a+zz",
                 "--input", f"a={CT_B5}", "--out", "unused.ct")

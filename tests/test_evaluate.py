@@ -6,13 +6,15 @@ that both routes agree, so the plaintext side is an independent check.
 """
 
 import random
+import sys
 from dataclasses import fields
 
 import pytest
 
 from matfhe.cipher import Ciphertext, dec, enc4
-from matfhe.evaluate import (BinOp, CipherEnv, Const, DivisorNotInvertibleError,
-                             ExprSyntaxError, Ref, UnboundInputError,
+from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
+                             DivisorNotInvertibleError, ExprSyntaxError, Ref,
+                             UnboundInputError,
                              collect_refs, eval_expr, format_expr, has_const,
                              he_add, he_div, he_mul, he_sub, parse_expr)
 from matfhe.keys import keygen4
@@ -127,6 +129,50 @@ class TestParser:
     def test_has_const(self):
         assert has_const(parse_expr("a+1"))
         assert not has_const(parse_expr("a+b*c"))
+
+
+class TestNestingDepth:
+    """A tree more than MAX_DEPTH operators deep, or parentheses nested
+    more than MAX_DEPTH deep, is a syntax error, not a RecursionError from
+    the parser or from walking the tree."""
+
+    def test_limit_is_well_inside_the_recursion_limit(self):
+        # The parser spends three frames per open parenthesis.
+        assert MAX_DEPTH == 200
+        assert 3 * MAX_DEPTH + 200 < sys.getrecursionlimit()
+
+    @pytest.mark.parametrize("text, offset, found", [
+        ("+".join(["a"] * 1500), 2 * MAX_DEPTH + 1, "'+'"),
+        ("(" * 400 + "a" + ")" * 400, MAX_DEPTH, "'('"),
+        # A chain inside parentheses keeps its depth: 149 + 52 operators.
+        ("(" + "+".join(["a"] * 150) + ")" + "*a" * 52, 301 + 2 * 51, "'*'"),
+    ], ids=["sum-1500", "parens-400", "sum-then-product"])
+    def test_too_deep_is_refused_where_it_goes_past(self, text, offset, found):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.offset == offset
+        assert info.value.found == found
+        assert f"at most {MAX_DEPTH} levels of nesting" in str(info.value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("+".join(["a"] * (MAX_DEPTH + 1)), 5 * (MAX_DEPTH + 1) % N),
+        ("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 5),
+        ("(a+" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 5 * (MAX_DEPTH + 1) % N),
+        ("(" + "+".join(["a"] * 150) + ")" + "*a" * 51,
+         150 * 5 * pow(5, 51, N) % N),
+    ], ids=["sum", "parens", "right-nested", "sum-then-product"])
+    def test_formula_at_the_limit_evaluates(self, key_b, ct_b5, text, value):
+        tree = parse_expr(text)
+        assert collect_refs(tree) == ["a"] and not has_const(tree)
+        assert parse_expr(format_expr(tree)) == tree
+        env = CipherEnv(bindings={"a": ct_b5})
+        assert dec(eval_expr(tree, env), key_b) == value
+
+    def test_long_flat_products_of_sums_are_shallow(self):
+        # Depth counts nesting, not length: 50 parenthesized sums of 150
+        # terms multiplied together are 198 operators deep.
+        text = "*".join(["(" + "+".join(["a"] * 150) + ")"] * 50)
+        assert isinstance(parse_expr(text), BinOp)
 
 
 class TestHomomorphicOps:

@@ -8,6 +8,9 @@ collision estimate folds a trial's diagonal only when its trace matches
 the target's. Each property below pits one of these against the
 straightforward computation it replaces: crt_solve per slot, two full
 matrix products, the full recovered diagonal, and folding every trial.
+A slot sum is built by one row addition per factor and checked against
+the weighted four-term sum, and enc4's raw rng draws against sampled
+coins.
 """
 
 import itertools
@@ -16,7 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfhe import analysis
+from matfhe import analysis, cipher
 from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
                            _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
@@ -251,6 +254,88 @@ class TestRawDraws:
                 assert coins(*draw(x, modulus.n, modulus.m, rng)) == want
                 assert sample(x, modulus, sampled) == want
             assert rng.random() == twin.random() == sampled.random()
+
+
+def weighted_slot_sum(key, choices):
+    """P_c as the slot sum was first written: the CRT weights of each slot
+    are gathered first, then each entry is one four-term sum over the
+    projectors, reduced mod n."""
+    modulus = key.modulus
+    weights = [1, 0, 0, 0]
+    for c, e in zip(choices, modulus.crt_basis):
+        weights[c] += e
+    return tuple(sum(w * v for w, v in zip(weights, q)) % modulus.n
+                 for q in zip(*key.slot_projectors))
+
+
+class TestRowAddedSlotSums:
+    """cipher._slot_sum adds e_i * Q_{c_i} to Q_0 row by row and reduces
+    once; it must equal the weighted four-term sum for every pattern."""
+
+    @pytest.mark.parametrize("bits", (16, 256))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_every_pattern_equals_the_weighted_sum(self, m, bits):
+        key, _ = make_key(m, 4, bits, 20 + m)
+        n = key.modulus.n
+        wrong = KeyTuple(key.modulus, key.k,
+                         random_invertible(4, n, random.Random(bits + m)))
+        assert key.verify() and not wrong.verify()
+        for kt in (key, wrong):
+            for choices in itertools.product((1, 2, 3), repeat=m):
+                total = cipher._slot_sum(kt, choices)
+                assert total == weighted_slot_sum(kt, choices)
+                assert all(0 <= v < n for v in total)
+                assert kt.slot_sums[choices] is total
+            assert len(kt.slot_sums) == 3 ** m
+
+
+class TestEnc4RngPath:
+    """enc4 given an rng draws (r, row choices) raw: the RNG calls of
+    sample_enc4_randomness in their order, and no coin object built."""
+
+    @pytest.mark.parametrize("bits", (16, 256))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_body_and_next_draw_equal_sampled_coins(self, m, bits):
+        key, picks = make_key(m, 4, bits, 30 + m)
+        modulus = key.modulus
+        for seed in range(10):
+            rng, sampled, frozen = (random.Random(seed) for _ in range(3))
+            for _ in range(20):
+                x = picks.randrange(modulus.n)
+                body = enc4(x, key, rng).body
+                assert body == enc4(
+                    x, key, sample_enc4_randomness(x, modulus, sampled)).body
+                assert body == enc4(
+                    x, key, oracle_enc4_coins(x, modulus, frozen)).body
+            assert rng.random() == sampled.random() == frozen.random()
+
+    def test_builds_no_coin_object(self, monkeypatch):
+        built = []
+        check = Enc4Randomness.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Enc4Randomness, "__post_init__", counting)
+        key, rng = make_key(2, 4, 16, 7)
+        for _ in range(50):
+            x = rng.randrange(key.modulus.n)
+            assert dec(enc4(x, key, rng), key) == x
+        assert built == []
+        enc4(3, key, Enc4Randomness(r=4, row_choices=(1, 2)))
+        assert len(built) == 1
+
+    def test_raw_blind_goes_through_the_blind_check(self, monkeypatch):
+        # The rng path and fixed coins share one check: a drawn blind equal
+        # to x is refused like a fixed one.
+        key, rng = make_key(2, 4, 16, 8)
+        monkeypatch.setattr(cipher, "_draw_enc4",
+                            lambda x, n, m, rng: (x, (1,) * m))
+        with pytest.raises(ValueError, match="distinct blinds"):
+            enc4(5, key, rng)
+        with pytest.raises(ValueError, match="distinct blinds"):
+            enc4(5, key, Enc4Randomness(r=5, row_choices=(1, 2)))
 
 
 def folding_estimate(key, x, trials, rng):
