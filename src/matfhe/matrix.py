@@ -7,6 +7,7 @@ the determinant, not mere nonzero-ness.
 """
 
 import math
+from operator import mul
 
 from .ring import GenerationError, NotInvertibleError
 
@@ -256,44 +257,51 @@ def random_invertible_pair(dim, modulus, rng, max_rerolls=1000):
 
     Entries are drawn row-major with rng.randrange(modulus). Each drawn row,
     next to the identity row that records it, is reduced against the rows
-    kept so far: a row whose reduction has no unit entry to pivot on is
-    redrawn whole (the screen can reject rows a fuller search would keep).
-    A kept row is scaled by its pivot's inverse and clears its pivot column
-    from the earlier kept rows (Gauss-Jordan), so the kept rows end as
-    [P | G] with G*k = P, a permutation: row pivot_i of k^-1 is the right
-    half of kept row i. Every pivot is a unit, so det k is one too.
+    kept so far, its free columns (no kept row's pivot) first: a row with no
+    unit there to pivot on is redrawn whole (the screen can reject rows a
+    fuller search would keep). A kept row clears its pivot column from the
+    earlier ones (Gauss-Jordan), so they end as [P | G] with G*k = P, a
+    permutation. No row is divided by its pivot: each kept row is the
+    normalized one times s, the product of the pivots so far, and a drawn
+    row v is reduced as s*v - sum(v[p_t] * kept_t). A unit factor keeps
+    zeros at zero and units as units, so pivots, redraws and rng calls are
+    those of the normalized pass. The last row's step divides by the final
+    s, the one modular inverse. Every pivot is a unit, so det k is one too.
     """
     if dim not in ALLOWED_DIMS:
         raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
     if modulus <= 1:
         raise ValueError("modulus must be > 1")
     n = modulus
-    rows = []
-    kept = []  # (pivot column, [reduced row | recording row])
-    rerolls = 0
+    rows, pivots = [], []
+    free = list(range(dim))
+    cols = [[] for _ in free]  # kept rows by column: free, then recording
+    s, rerolls = 1, 0
     while len(rows) < dim:
         row = [rng.randrange(n) for _ in range(dim)]
-        reduced = row + [int(j == len(rows)) for j in range(dim)]
-        for pivot_col, krow in kept:
-            c = reduced[pivot_col]
-            if c:
-                reduced = [(x - c * y) % n for x, y in zip(reduced, krow)]
-        pivot = next((j for j, x in enumerate(reduced[:dim])
-                      if x and math.gcd(x, n) == 1), None)
-        if pivot is None:
+        cs = [row[p] for p in pivots]
+        head = [(s * row[j] - sum(map(mul, cs, col))) % n
+                for j, col in zip(free, cols)]
+        f = next((f for f, x in enumerate(head)
+                  if x and math.gcd(x, n) == 1), None)
+        if f is None:
             rerolls += 1
             if rerolls > max_rerolls:
                 raise GenerationError(
                     f"row generation exhausted {max_rerolls} rerolls")
             continue
-        inv = pow(reduced[pivot], -1, n)
-        reduced = [x * inv % n for x in reduced]
-        for _, krow in kept:
-            c = krow[pivot]
-            if c:
-                krow[:] = [(x - c * y) % n for x, y in zip(krow, reduced)]
-        kept.append((pivot, reduced))
+        w = head + [-sum(map(mul, cs, col)) % n for col in cols[len(free):]]
+        w.append(s)
+        cols.append([0] * len(pivots))  # recording column i
+        sp, cf = w.pop(f), cols.pop(f)
+        if len(free) == 1:  # the last row: divide by the final scale here
+            u = pow(s * sp, -1, n)
+            s, sp, cf = s * u % n, sp * u % n, [c * u % n for c in cf]
+        cols = [[(sp * x - c * y) % n for x, c in zip(col, cf)] + [s * y % n]
+                for col, y in zip(cols, w)]
+        pivots.append(free.pop(f))
+        s = s * sp % n
         rows.append(row)
-    kept.sort()
     return (Matrix(dim, n, tuple(v % n for row in rows for v in row)),
-            Matrix(dim, n, tuple(x for _, krow in kept for x in krow[dim:])))
+            Matrix(dim, n, tuple(x for _, r in sorted(zip(pivots, zip(*cols)))
+                                 for x in r)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cipher import dec, enc4, lock
-from .evaluate import (CipherEnv, collect_refs, eval_expr, format_expr,
-                       has_const, parse_expr)
+from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, collect_refs, eval_expr,
+                       format_expr, has_const, parse_expr)
 from .formats import entries_text
 
 
@@ -100,6 +100,13 @@ def run_protocol(formula, data, keyset, rng):
     """
     if isinstance(formula, str):
         formula = parse_expr(formula)
+    level, depth = [formula], 0  # parse_expr's depth limit, level by level
+    while level and depth <= MAX_DEPTH:
+        level = {id(c): c for node in level if isinstance(node, BinOp)
+                 for c in (node.left, node.right)}.values()
+        depth += 1
+    if level:
+        raise ProtocolError(f"formula is more than {MAX_DEPTH} operators deep")
     if len(keyset.components) != 3:
         raise ProtocolError("protocol needs a key set with exactly 3 components")
     k1, k2, k3 = keyset.components

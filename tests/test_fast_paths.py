@@ -10,10 +10,12 @@ straightforward computation it replaces: crt_solve per slot, two full
 matrix products, the full recovered diagonal, and folding every trial.
 A slot sum is built by one row addition per factor and checked against
 the weighted four-term sum, and enc4's raw rng draws against sampled
-coins.
+coins. Key generation's row screen keeps its rows at a common scale and
+is checked against the screen that divides each row by its pivot.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -494,24 +496,77 @@ class TestDecMismatch:
             dec(enc4(3, other, rng), key)
 
 
+def normalized_screen_pair(dim, n, rng, max_rerolls=1000):
+    """The row screen with each kept row divided by its pivot: one modular
+    inverse per row. Returns the entries of k and of k_inv."""
+    rows = []
+    kept = []  # (pivot column, [reduced row | recording row])
+    rerolls = 0
+    while len(rows) < dim:
+        row = [rng.randrange(n) for _ in range(dim)]
+        reduced = row + [int(j == len(rows)) for j in range(dim)]
+        for pivot_col, krow in kept:
+            c = reduced[pivot_col]
+            if c:
+                reduced = [(x - c * y) % n for x, y in zip(reduced, krow)]
+        pivot = next((j for j, x in enumerate(reduced[:dim])
+                      if x and math.gcd(x, n) == 1), None)
+        if pivot is None:
+            rerolls += 1
+            if rerolls > max_rerolls:
+                raise GenerationError(
+                    f"row generation exhausted {max_rerolls} rerolls")
+            continue
+        inv = pow(reduced[pivot], -1, n)
+        reduced = [x * inv % n for x in reduced]
+        for _, krow in kept:
+            c = krow[pivot]
+            if c:
+                krow[:] = [(x - c * y) % n for x, y in zip(krow, reduced)]
+        kept.append((pivot, reduced))
+        rows.append(row)
+    kept.sort()
+    return (tuple(v % n for row in rows for v in row),
+            tuple(x for _, krow in kept for x in krow[dim:]))
+
+
 class TestKeyMatrixPair:
     """Key generation's row screen yields k and k_inv from one elimination
-    pass and draws from the rng exactly as random_invertible."""
+    pass and one modular inverse, and draws from the rng exactly as
+    random_invertible and as the screen that normalizes every pivot."""
 
     # Moduli with many non-units, so rows are rejected and pivots leave the
-    # diagonal; the last is a keygen modulus at lambda=16.
-    MODULI = (45, 1155, 30030,
-              generate_coprime_set(2, 16, random.Random(5)).n)
+    # diagonal (11025 = 9 * 25 * 49 rejects the most); the last two are
+    # keygen moduli at lambda=16 and lambda=256.
+    MODULI = (45, 1155, 30030, 11025,
+              generate_coprime_set(2, 16, random.Random(5)).n,
+              generate_coprime_set(2, 256, random.Random(6)).n)
 
     @pytest.mark.parametrize("dim", (2, 3, 4, 8))
     def test_pair_is_random_invertible_and_its_inverse(self, dim):
         for n in self.MODULI:
             for seed in range(25):
-                rng, twin = random.Random(seed), random.Random(seed)
+                rng, twin, oracle = (random.Random(seed) for _ in range(3))
                 mat, inv = random_invertible_pair(dim, n, rng)
                 assert mat == random_invertible(dim, n, twin)
                 assert inv == inverse(mat)
-                assert rng.random() == twin.random()
+                assert (mat.entries, inv.entries) == \
+                    normalized_screen_pair(dim, n, oracle)
+                assert rng.random() == twin.random() == oracle.random()
+
+    @pytest.mark.parametrize("gen, bits", ((keygen8, 256), (keygen4, 16)))
+    def test_one_modular_inverse_per_pair(self, monkeypatch, gen, bits):
+        inverses = []
+
+        def counting(base, exp, mod=None):
+            if mod is not None and exp == -1:
+                inverses.append(base)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(matrix, "pow", counting, raising=False)
+        key = gen(2, bits, random.Random(bits))
+        assert key.verify()
+        assert len(inverses) == 1
 
     def test_rerolls_exhausted(self):
         draws = []

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from matfhe.cipher import Ciphertext, dec
-from matfhe.evaluate import BinOp, Const, Ref
+from matfhe.evaluate import MAX_DEPTH, BinOp, Const, Ref
 from matfhe.keys import KeyTuple, keyset_gen
 from matfhe.matrix import mat_mul
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
@@ -127,6 +127,29 @@ class TestRunProtocol:
             run_protocol("x0", (5, 6), ks, rng)
         with pytest.raises(ProtocolError):
             run_protocol("7", (5, 6), ks, rng)
+
+    @staticmethod
+    def chain(depth):
+        node = Ref("x1")
+        for _ in range(depth):
+            node = BinOp("+", node, Ref("x1"))
+        return node
+
+    def test_ast_at_the_depth_limit_runs(self):
+        result, transcript = run_protocol(
+            self.chain(MAX_DEPTH), (5,), make_keyset(14), random.Random(15))
+        assert result == 5 * (MAX_DEPTH + 1)
+        assert serialize_transcript(transcript).endswith(
+            f"result\t{result}\n")
+
+    @pytest.mark.parametrize("depth", (MAX_DEPTH + 1, 1500))
+    def test_ast_past_the_depth_limit_is_refused(self, depth):
+        # Deeper on either side: the check walks every branch.
+        ks = make_keyset(16)
+        for node in (self.chain(depth),
+                     BinOp("*", Ref("x1"), self.chain(depth - 1))):
+            with pytest.raises(ProtocolError, match="operators deep"):
+                run_protocol(node, (5,), ks, random.Random(17))
 
     def test_keyset_size_enforced(self):
         rng = random.Random(13)
