@@ -307,28 +307,19 @@ def _build_parser():
     return parser
 
 
+# The exit code for each error a command raises; the first match wins, so
+# the ValueErrors MalformedFileError and ExprSyntaxError precede ValueError.
+_EXIT_CODES = (
+    (_ParamError, 2), (GenerationError, 3), (MalformedFileError, 4),
+    (OSError, 4), (ExprSyntaxError, 6), (UnboundInputError, 7),
+    (ProtocolError, 2), (ValueError, 1))
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ParamError as err:
+    except tuple(kind for kind, _ in _EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GenerationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (MalformedFileError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except ExprSyntaxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 6
-    except UnboundInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 7
-    except ProtocolError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(err, kind))

@@ -6,6 +6,7 @@ encrypted with fresh coins at evaluation time, so an environment used with
 constant-bearing formulas must carry a key and an rng.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .cipher import Ciphertext, encrypt_value
@@ -31,7 +32,7 @@ class BinOp:
 
 
 class ExprSyntaxError(ValueError):
-    """Formula syntax error. Carries the byte offset and what was expected."""
+    """Formula syntax error: the character offset and what was expected."""
 
     def __init__(self, offset, expected, found):
         super().__init__(
@@ -86,46 +87,15 @@ def he_div(c1, c2):
     return Ciphertext(mat_mul(c1.body, inv))
 
 
-_DIGITS = "0123456789"
-
-
-def _is_name_start(ch):
-    return ch == "_" or "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_name_char(ch):
-    return _is_name_start(ch) or ch in _DIGITS
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-        elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif _is_name_start(ch):
-            j = i
-            while j < len(text) and _is_name_char(text[j]):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in "+-*/()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(i, "integer, name, or operator", repr(ch))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
+# Tried in order at each offset: integer, name, operator or parenthesis,
+# a run of blanks (skipped), any other character (refused; DOTALL, so line
+# breaks are refused too, not skipped). The classes are ASCII only.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/()])|[ \t]+|(?P<bad>.)", re.DOTALL)
+_LEVELS = (("+", "-"), ("*", "/"))
 
 MAX_DEPTH = 200
+_TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
 
 
 def parse_expr(text):
@@ -136,78 +106,68 @@ def parse_expr(text):
         term   := factor (('*' | '/') factor)*
         factor := integer | name | '(' expr ')'
 
+    Tokens come from one regular expression. expr and term are one rule,
+    binary(level), over the operator sets of _LEVELS, loosest first.
+
     A formula whose tree is more than MAX_DEPTH operators deep, or whose
     parentheses nest more than MAX_DEPTH deep, raises ExprSyntaxError at
     the operator or '(' that goes past the limit. So neither this parser
     nor a walk of a parsed tree reaches the interpreter's recursion limit,
     and format_expr's output of a parsed tree parses back.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def fail(expected):
-        kind, value, offset = tokens[pos]
+    def fail(expected, tok=None):
+        kind, value, offset = tok or tokens[pos]
         found = "end of input" if kind == "end" else repr(value)
         raise ExprSyntaxError(offset, expected, found)
 
-    def too_deep(tok):
-        raise ExprSyntaxError(
-            tok[2], f"at most {MAX_DEPTH} levels of nesting", repr(tok[1]))
-
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            fail("integer, name, or operator", (kind, m[0], m.start()))
+        if kind:
+            tokens.append((kind, m[0], m.start()))
+    tokens.append(("end", "", len(text)))
     # Each rule returns its node and the node's depth in operators; parens
     # counts the parentheses open around the current token.
-    parens = 0
+    pos = parens = 0
 
     def factor():
         nonlocal pos, parens
-        tok = tokens[pos]
-        kind = tok[0]
+        kind, value, _ = tok = tokens[pos]
+        pos += 1
         if kind == "int":
-            pos += 1
-            return Const(int(tok[1])), 0
+            return Const(int(value)), 0
         if kind == "name":
-            pos += 1
-            return Ref(tok[1]), 0
-        if kind == "(":
-            pos += 1
-            parens += 1
-            if parens > MAX_DEPTH:
-                too_deep(tok)
-            inner = expr()
-            if tokens[pos][0] != ")":
-                fail("')'")
-            pos += 1
-            parens -= 1
-            return inner
-        fail("integer, name, or '('")
+            return Ref(value), 0
+        if value != "(":
+            fail("integer, name, or '('", tok)
+        parens += 1
+        if parens > MAX_DEPTH:
+            fail(_TOO_DEEP, tok)
+        inner = binary(0)
+        if tokens[pos][1] != ")":
+            fail("')'")
+        pos += 1
+        parens -= 1
+        return inner
 
-    def term():
+    def binary(level):
         nonlocal pos
-        node, depth = factor()
-        while tokens[pos][0] in ("*", "/"):
+        ops = _LEVELS[level]
+        tighter = level + 1 < len(_LEVELS)
+        node, depth = binary(level + 1) if tighter else factor()
+        while tokens[pos][1] in ops:
             tok = tokens[pos]
             pos += 1
-            right, right_depth = factor()
+            right, right_depth = binary(level + 1) if tighter else factor()
             depth = max(depth, right_depth) + 1
             if depth > MAX_DEPTH:
-                too_deep(tok)
-            node = BinOp(tok[0], node, right)
+                fail(_TOO_DEEP, tok)
+            node = BinOp(tok[1], node, right)
         return node, depth
 
-    def expr():
-        nonlocal pos
-        node, depth = term()
-        while tokens[pos][0] in ("+", "-"):
-            tok = tokens[pos]
-            pos += 1
-            right, right_depth = term()
-            depth = max(depth, right_depth) + 1
-            if depth > MAX_DEPTH:
-                too_deep(tok)
-            node = BinOp(tok[0], node, right)
-        return node, depth
-
-    node, _ = expr()
+    node, _ = binary(0)
     if tokens[pos][0] != "end":
         fail("operator or end of input")
     return node

@@ -100,10 +100,17 @@ def run_protocol(formula, data, keyset, rng):
     """
     if isinstance(formula, str):
         formula = parse_expr(formula)
-    level, depth = [formula], 0  # parse_expr's depth limit, level by level
+    # parse_expr's depth limit, level by level. Every later walk goes path
+    # by path, so an operator node reached twice is refused: shared
+    # subtrees would take time exponential in the depth. Leaves may repeat.
+    level, depth, visits, seen = [formula], 0, 0, set()
     while level and depth <= MAX_DEPTH:
-        level = {id(c): c for node in level if isinstance(node, BinOp)
-                 for c in (node.left, node.right)}.values()
+        ops = [node for node in level if isinstance(node, BinOp)]
+        visits += len(ops)
+        seen.update(map(id, ops))
+        if len(seen) < visits:
+            raise ProtocolError("formula reaches one operator node twice")
+        level = [c for node in ops for c in (node.left, node.right)]
         depth += 1
     if level:
         raise ProtocolError(f"formula is more than {MAX_DEPTH} operators deep")

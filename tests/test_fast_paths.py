@@ -11,7 +11,10 @@ matrix products, the full recovered diagonal, and folding every trial.
 A slot sum is built by one row addition per factor and checked against
 the weighted four-term sum, and enc4's raw rng draws against sampled
 coins. Key generation's row screen keeps its rows at a common scale and
-is checked against the screen that divides each row by its pivot.
+is checked against the screen that divides each row by its pivot. The
+formula parser, one token regex and one rule for both precedence levels,
+is checked against the character-loop parser with separate expr and term
+rules: same trees, same errors.
 """
 
 import itertools
@@ -27,6 +30,8 @@ from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
                            _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
                            enc8, encryption_diagonal, lock,
                            sample_enc4_randomness, sample_enc8_randomness)
+from matfhe.evaluate import (MAX_DEPTH, BinOp, Const, ExprSyntaxError, Ref,
+                             parse_expr)
 from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8
 from matfhe import matrix
@@ -593,3 +598,170 @@ class TestKeyMatrixPair:
             monkeypatch.setattr(matrix, name, refuse)
         key = keygen8(2, 64, random.Random(3))
         assert key.verify()
+
+
+def frozen_parse_expr(text):
+    """The formula parser with a character-loop tokenizer and separate expr
+    and term rules. Same grammar, depth limits and errors as parse_expr."""
+    digits = "0123456789"
+
+    def is_name_start(ch):
+        return ch == "_" or "a" <= ch <= "z" or "A" <= ch <= "Z"
+
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+        elif ch in digits:
+            j = i
+            while j < len(text) and text[j] in digits:
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif is_name_start(ch):
+            j = i
+            while j < len(text) and (is_name_start(text[j])
+                                     or text[j] in digits):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        elif ch in "+-*/()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ExprSyntaxError(i, "integer, name, or operator", repr(ch))
+    tokens.append(("end", "", len(text)))
+    pos = 0
+
+    def fail(expected):
+        kind, value, offset = tokens[pos]
+        found = "end of input" if kind == "end" else repr(value)
+        raise ExprSyntaxError(offset, expected, found)
+
+    def too_deep(tok):
+        raise ExprSyntaxError(
+            tok[2], f"at most {MAX_DEPTH} levels of nesting", repr(tok[1]))
+
+    parens = 0
+
+    def factor():
+        nonlocal pos, parens
+        tok = tokens[pos]
+        kind = tok[0]
+        if kind == "int":
+            pos += 1
+            return Const(int(tok[1])), 0
+        if kind == "name":
+            pos += 1
+            return Ref(tok[1]), 0
+        if kind == "(":
+            pos += 1
+            parens += 1
+            if parens > MAX_DEPTH:
+                too_deep(tok)
+            inner = expr()
+            if tokens[pos][0] != ")":
+                fail("')'")
+            pos += 1
+            parens -= 1
+            return inner
+        fail("integer, name, or '('")
+
+    def term():
+        nonlocal pos
+        node, depth = factor()
+        while tokens[pos][0] in ("*", "/"):
+            tok = tokens[pos]
+            pos += 1
+            right, right_depth = factor()
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                too_deep(tok)
+            node = BinOp(tok[0], node, right)
+        return node, depth
+
+    def expr():
+        nonlocal pos
+        node, depth = term()
+        while tokens[pos][0] in ("+", "-"):
+            tok = tokens[pos]
+            pos += 1
+            right, right_depth = term()
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                too_deep(tok)
+            node = BinOp(tok[0], node, right)
+        return node, depth
+
+    node, _ = expr()
+    if tokens[pos][0] != "end":
+        fail("operator or end of input")
+    return node
+
+
+def parse_outcome(parse, text):
+    """The tree, or everything a syntax error reports."""
+    try:
+        return parse(text)
+    except ExprSyntaxError as err:
+        return (err.offset, err.expected, err.found, str(err))
+
+
+# Formula text pieces: names, digits, every operator and parenthesis, the
+# two skipped blanks, and characters the tokenizer refuses (line breaks,
+# '$', a non-ASCII letter and a non-ASCII digit).
+PIECES = "ax_Z09+-*/() \t\n\r$é٣"
+
+
+def formula_text(data):
+    """Formula text from bytes, mostly well formed so that it reaches deep
+    into the grammar: a byte picks an operand or '(' while an operand is
+    due, else an operator or ')'; a byte >= 232 puts in any piece."""
+    out, operand_due, opened = [], True, 0
+    for b in data:
+        if b >= 232:
+            out.append(PIECES[b % len(PIECES)])
+        elif operand_due:
+            out.append(("a", "x_1", "Z9", "0", "42", "(")[b % 6])
+            opened += out[-1] == "("
+            operand_due = out[-1] == "("
+        elif b % 5 < 4 or opened:
+            out.append("+-*/)"[b % 5])
+            opened -= out[-1] == ")"
+            operand_due = out[-1] != ")"
+    return "".join(out) + ")" * opened
+
+
+def deep(n):
+    """Texts nested about n deep in operators or parentheses, on either
+    side of MAX_DEPTH for n in 195..205."""
+    return {
+        "sum": "+".join(["a"] * (n + 1)),
+        "product": "*".join(["a"] * (n + 1)),
+        "parens": "(" * n + "a" + ")" * n,
+        "right-sum": "(a+" * n + "a" + ")" * n,
+        "sum-times": "((a+b)*" * n + "a" + ")" * n,
+        "chain-then-name": "-".join(["a"] * n) + "-b c",
+        "chain-then-dollar": "a+" + "b*" * n + "c$",
+        "unclosed": "(" * n + "a",
+    }
+
+
+class TestFormulaParser:
+    """parse_expr, one token regex and one rule for both precedence levels,
+    against the character-loop parser with an expr and a term rule."""
+
+    @settings(max_examples=10_000, deadline=None)
+    @given(st.binary(max_size=40).map(formula_text))
+    def test_matches_the_frozen_parser(self, text):
+        assert parse_outcome(parse_expr, text) == \
+            parse_outcome(frozen_parse_expr, text)
+
+    @pytest.mark.parametrize("family", sorted(deep(0)))
+    def test_depth_edges_match_the_frozen_parser(self, family):
+        for n in range(195, 206):
+            text = deep(n)[family]
+            assert parse_outcome(parse_expr, text) == \
+                parse_outcome(frozen_parse_expr, text), n

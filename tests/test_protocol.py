@@ -151,6 +151,25 @@ class TestRunProtocol:
             with pytest.raises(ProtocolError, match="operators deep"):
                 run_protocol(node, (5,), ks, random.Random(17))
 
+    def test_shared_operator_node_is_refused(self):
+        # Reached twice on different levels, and below a leaf sibling.
+        shared = BinOp("+", Ref("x1"), Ref("x2"))
+        # 41 nodes, 2^40 paths: walked path by path it would run for days.
+        dag = Ref("x1")
+        for _ in range(40):
+            dag = BinOp("+", dag, dag)
+        ks = make_keyset(18)
+        for node in (BinOp("*", shared, BinOp("-", Ref("x1"), shared)),
+                     BinOp("*", Ref("x2"), BinOp("-", shared, shared)), dag):
+            with pytest.raises(ProtocolError, match="operator node twice"):
+                run_protocol(node, (5, 7), ks, random.Random(19))
+
+    def test_shared_leaf_runs(self):
+        r = Ref("x1")
+        result, _ = run_protocol(BinOp("*", r, BinOp("+", r, r)), (5,),
+                                 make_keyset(20), random.Random(21))
+        assert result == 50
+
     def test_keyset_size_enforced(self):
         rng = random.Random(13)
         two = keyset_gen(4, 2, 2, 16, rng)
