@@ -23,7 +23,7 @@ from .matrix import (Matrix, MismatchError, determinant, diagonal, identity,
                      inverse, is_invertible, mat_add, mat_mul, mat_sub,
                      random_invertible)
 from .ring import (GenerationError, NonCoprimeModuliError,
-                   NotInvertibleError, RingModulus, crt_solve,
-                   generate_coprime_set, mod_inverse)
+                   NotInvertibleError, ParameterError, RingModulus,
+                   crt_solve, generate_coprime_set, mod_inverse)
 
 __version__ = "0.1.0"

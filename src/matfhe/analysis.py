@@ -18,7 +18,7 @@ from .cipher import (Enc4Randomness, Enc8Randomness, _draw_enc4, _draw_enc8,
 from .keys import KeyTuple
 from .matrix import (Matrix, determinant, diagonal, inverse, is_invertible,
                      mat_mul)
-from .ring import crt_solve
+from .ring import ParameterError, crt_solve
 
 
 def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
@@ -26,13 +26,15 @@ def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
 
     Each entry of moduli is a RingModulus or a bare int (bare ints allow
     degenerate test values like 4 that the modulus type rejects). Returns
-    {n: [count per repeat]}.
+    {n: [count per repeat]}. Every modulus is checked before the first draw.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 1 or repeats < 1:
+        raise ParameterError("samples and repeats must be >= 1")
+    ns = [getattr(modulus, "n", modulus) for modulus in moduli]
+    if any(n < 2 for n in ns):
+        raise ParameterError("moduli must be >= 2")
     out = {}
-    for modulus in moduli:
-        n = getattr(modulus, "n", modulus)
+    for n in ns:
         counts = []
         for _ in range(repeats):
             hits = 0
@@ -66,7 +68,7 @@ def brute_force_cost(bits, dim):
     Returns log2(dim^2) + bits * dim^2 as a float.
     """
     if bits < 1 or dim < 1:
-        raise ValueError("bits and dim must be >= 1")
+        raise ParameterError("bits and dim must be >= 1")
     return math.log2(dim * dim) + bits * dim * dim
 
 
@@ -86,11 +88,11 @@ def kpa_collision_estimate(key, x, trials, rng):
     stays exact.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ParameterError("trials must be >= 1")
     modulus = key.modulus
     n = modulus.n
     if not 0 <= x < n:
-        raise ValueError(f"plaintext must lie in [0, {n})")
+        raise ParameterError(f"plaintext must lie in [0, {n})")
     draw, coins, w = ((_draw_enc4, Enc4Randomness, 2) if key.dim == 4
                       else (_draw_enc8, Enc8Randomness, 3))
     m = modulus.m

@@ -24,6 +24,7 @@ product (see _encrypt).
 from dataclasses import dataclass
 
 from .matrix import Matrix, _check_pair, mat_mul
+from .ring import ParameterError
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def _encrypt(x, key, rnd, dim):
     if key.dim != dim:
         raise ValueError(f"enc{dim} needs a dim {dim} key")
     if not 0 <= x < n:
-        raise ValueError(f"plaintext must lie in [0, {n})")
+        raise ParameterError(f"plaintext must lie in [0, {n})")
     if dim == 4:
         r, choices = ((rnd.r, tuple(rnd.row_choices))
                       if isinstance(rnd, Enc4Randomness)

@@ -23,36 +23,20 @@ from .cipher import dec, enc4, encrypt_value
 from .evaluate import (CipherEnv, ExprSyntaxError, UnboundInputError,
                        eval_expr, parse_expr)
 from .formats import MalformedFileError
-from .keys import keygen4, keygen8, keyset_gen
+from .keys import KEY_DIMS, keygen4, keygen8, keyset_gen
 from .matrix import mat_add, mat_mul
 from .protocol import ProtocolError, run_protocol, serialize_transcript
-from .ring import GenerationError
-
-
-class _ParamError(Exception):
-    """Invalid command parameters (exit code 2)."""
-
-
-def _check_modulus_args(args):
-    """The --m and --lambda checks every key-generating command makes."""
-    if args.m < 1:
-        raise _ParamError("--m must be >= 1")
-    if args.bits < 8 or args.bits % 2:
-        raise _ParamError("--lambda must be an even number >= 8")
+from .ring import GenerationError, ParameterError
 
 
 def _parse_int_csv(text, what):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _ParamError(f"{what} must be comma-separated integers") from None
-    if not values:
-        raise _ParamError(f"{what} must not be empty")
-    return values
+        raise ParameterError(f"{what} must be comma-separated integers") from None
 
 
 def cmd_keygen(args):
-    _check_modulus_args(args)
     rng = random.Random(args.seed)
     gen = keygen4 if args.dim == 4 else keygen8
     key = gen(args.m, args.bits, rng)
@@ -62,8 +46,6 @@ def cmd_keygen(args):
 
 def cmd_encrypt(args):
     key = formats.read_key(args.key)
-    if args.value < 0:
-        raise _ParamError("--value must be nonnegative")
     if args.value >= key.modulus.n:
         print(f"error: value {args.value} is not below N={key.modulus.n}",
               file=sys.stderr)
@@ -76,7 +58,7 @@ def cmd_encrypt(args):
 def _read_matching_ciphertext(path, key):
     ct, _, _, n = formats.read_ciphertext(path)
     if n != key.modulus.n or ct.dim != key.dim:
-        raise _ParamError(
+        raise ParameterError(
             f"ciphertext {path} does not match the key (N or dim differs)")
     return ct
 
@@ -94,7 +76,7 @@ def cmd_eval(args):
     for item in args.inputs or ():
         name, sep, path = item.partition("=")
         if not sep or not name:
-            raise _ParamError(f"--input must be name=ctfile, got {item!r}")
+            raise ParameterError(f"--input must be name=ctfile, got {item!r}")
         bindings[name] = _read_matching_ciphertext(path, key)
     ast = parse_expr(args.expr)
     env = CipherEnv(bindings=bindings, key=key, rng=random.Random(args.seed))
@@ -104,14 +86,13 @@ def cmd_eval(args):
 
 
 def cmd_protocol_demo(args):
-    _check_modulus_args(args)
     data = _parse_int_csv(args.data, "--data")
     rng = random.Random(args.seed)
     keyset = keyset_gen(4, 3, args.m, args.bits, rng)
     for value in data:
         if not 0 <= value < keyset.modulus.n:
-            print(f"error: datum {value} is not below N={keyset.modulus.n}",
-                  file=sys.stderr)
+            print(f"error: datum {value} lies outside [0, N) for "
+                  f"N={keyset.modulus.n}", file=sys.stderr)
             return 5
     result, transcript = run_protocol(args.formula, data, keyset, rng)
     formats.write_text(args.transcript, serialize_transcript(transcript))
@@ -120,11 +101,7 @@ def cmd_protocol_demo(args):
 
 
 def cmd_analyze_invertibility(args):
-    if args.samples < 1 or args.repeats < 1:
-        raise _ParamError("--samples and --repeats must be >= 1")
     moduli = _parse_int_csv(args.n, "--n")
-    if any(n < 2 for n in moduli):
-        raise _ParamError("--n values must be >= 2")
     rng = random.Random(args.seed)
     table = invertibility_experiment(moduli, args.samples, args.repeats, rng)
     print("n,trial,invertible")
@@ -135,16 +112,11 @@ def cmd_analyze_invertibility(args):
 
 
 def cmd_analyze_kpa(args):
-    if args.trials < 1:
-        raise _ParamError("--trials must be >= 1")
-    _check_modulus_args(args)
     rng = random.Random(args.seed)
     candidates = _parse_int_csv(args.factors, "--factors") if args.factors else None
     key = keygen4(args.m, args.bits, rng, candidates=candidates)
     n = key.modulus.n
     x = args.x if args.x is not None else rng.randrange(n)
-    if not 0 <= x < n:
-        raise _ParamError(f"--x must lie in [0, {n})")
     fraction = kpa_collision_estimate(key, x, args.trials, rng)
     hits = round(fraction * args.trials)
     print("N,m,trials,hits,fraction")
@@ -153,8 +125,6 @@ def cmd_analyze_kpa(args):
 
 
 def cmd_analyze_cost(args):
-    if args.bits_of_n < 1 or args.dim < 1:
-        raise _ParamError("--bits and --dim must be >= 1")
     cost = brute_force_cost(args.bits_of_n, args.dim)
     print("bits,dim,log2_cost")
     print(f"{args.bits_of_n},{args.dim},{cost:g}")
@@ -181,9 +151,8 @@ def _median_call_time(fn, fn_args, calls, reps):
 
 
 def cmd_bench(args):
-    _check_modulus_args(args)
     if args.reps < 1:
-        raise _ParamError("--reps must be >= 1")
+        raise ParameterError("--reps must be >= 1")
     rng = random.Random(args.seed)
     key = keygen4(args.m, args.bits, rng)
     n = key.modulus.n
@@ -235,7 +204,7 @@ def _build_parser():
     p = sub.add_parser("keygen", help="generate a key file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lambda", dest="bits", type=int, required=True)
-    p.add_argument("--dim", type=int, choices=(4, 8), default=4)
+    p.add_argument("--dim", type=int, choices=KEY_DIMS, default=4)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_keygen)
@@ -308,9 +277,10 @@ def _build_parser():
 
 
 # The exit code for each error a command raises; the first match wins, so
-# the ValueErrors MalformedFileError and ExprSyntaxError precede ValueError.
+# the ValueErrors ParameterError, MalformedFileError and ExprSyntaxError
+# precede ValueError.
 _EXIT_CODES = (
-    (_ParamError, 2), (GenerationError, 3), (MalformedFileError, 4),
+    (ParameterError, 2), (GenerationError, 3), (MalformedFileError, 4),
     (OSError, 4), (ExprSyntaxError, 6), (UnboundInputError, 7),
     (ProtocolError, 2), (ValueError, 1))
 

@@ -174,7 +174,12 @@ def parse_expr(text):
 
 
 def format_expr(node):
-    """Render an AST back to formula text, fully parenthesized."""
+    """Render an AST back to formula text, fully parenthesized.
+
+    The walk goes path by path, so an AST built in code must be a tree no
+    deeper than MAX_DEPTH operators: parse_expr's output always is, and
+    run_protocol refuses anything else.
+    """
     if isinstance(node, Const):
         return str(node.value)
     if isinstance(node, Ref):
@@ -198,7 +203,9 @@ _OPS = {"+": he_add, "-": he_sub, "*": he_mul, "/": he_div}
 
 
 def eval_expr(node, env):
-    """Evaluate an AST over ciphertexts. Returns a Ciphertext."""
+    """Evaluate an AST over ciphertexts. Returns a Ciphertext. Like
+    format_expr, it walks path by path: an AST built in code must be a tree
+    no deeper than MAX_DEPTH operators."""
     if isinstance(node, Ref):
         try:
             return env.bindings[node.name]
@@ -213,27 +220,3 @@ def eval_expr(node, env):
         right = eval_expr(node.right, env)
         return _OPS[node.op](left, right)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def collect_refs(node):
-    """All Ref names in an AST, in first-appearance order."""
-    out = []
-
-    def walk(n):
-        if isinstance(n, Ref):
-            if n.name not in out:
-                out.append(n.name)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-
-    walk(node)
-    return out
-
-
-def has_const(node):
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, BinOp):
-        return has_const(node.left) or has_const(node.right)
-    return False

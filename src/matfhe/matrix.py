@@ -18,6 +18,13 @@ class MismatchError(ValueError):
     """Operands disagree on dimension or modulus."""
 
 
+def _check_shape(dim, modulus):
+    if dim not in ALLOWED_DIMS:
+        raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
+    if modulus <= 1:
+        raise ValueError("modulus must be > 1")
+
+
 class Matrix:
     """Immutable dim x dim matrix with entries reduced mod modulus.
 
@@ -36,10 +43,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows, modulus):
         dim = len(rows)
-        if dim not in ALLOWED_DIMS:
-            raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
-        if modulus <= 1:
-            raise ValueError("modulus must be > 1")
+        _check_shape(dim, modulus)
         if any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square")
         flat = tuple(int(v) % modulus for row in rows for v in row)
@@ -268,10 +272,7 @@ def random_invertible_pair(dim, modulus, rng, max_rerolls=1000):
     those of the normalized pass. The last row's step divides by the final
     s, the one modular inverse. Every pivot is a unit, so det k is one too.
     """
-    if dim not in ALLOWED_DIMS:
-        raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
-    if modulus <= 1:
-        raise ValueError("modulus must be > 1")
+    _check_shape(dim, modulus)
     n = modulus
     rows, pivots = [], []
     free = list(range(dim))

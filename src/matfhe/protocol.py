@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cipher import dec, enc4, lock
-from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, collect_refs, eval_expr,
-                       format_expr, has_const, parse_expr)
+from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
+                       format_expr, parse_expr)
 from .formats import entries_text
 
 
@@ -72,10 +72,29 @@ class ProtocolError(RuntimeError):
 
 
 def _required_indices(formula, table_size):
-    names = collect_refs(formula)
+    """Sorted table indices the formula reads, from one depth-first walk.
+
+    It refuses a tree more than MAX_DEPTH operators deep, or one reaching an
+    operator node twice: eval_expr and format_expr go path by path, so shared
+    subtrees take time exponential in the depth (leaves may repeat). Then,
+    over the leaves left to right: some input, no constant, and each name in
+    first-appearance order is x1, x2, ... within the table."""
+    leaves, seen, stack = [], set(), [(formula, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if not isinstance(node, BinOp):
+            leaves.append(node)
+            continue
+        if depth > MAX_DEPTH:
+            raise ProtocolError(f"formula is more than {MAX_DEPTH} operators deep")
+        if id(node) in seen:
+            raise ProtocolError("formula reaches one operator node twice")
+        seen.add(id(node))
+        stack += ((node.right, depth + 1), (node.left, depth + 1))
+    names = dict.fromkeys(leaf.name for leaf in leaves if isinstance(leaf, Ref))
     if not names:
         raise ProtocolError("formula references no data inputs")
-    if has_const(formula):
+    if any(isinstance(leaf, Const) for leaf in leaves):
         raise ProtocolError(
             "formulas with literal constants are not supported; the "
             "computation center holds no key to encrypt them under")
@@ -100,24 +119,10 @@ def run_protocol(formula, data, keyset, rng):
     """
     if isinstance(formula, str):
         formula = parse_expr(formula)
-    # parse_expr's depth limit, level by level. Every later walk goes path
-    # by path, so an operator node reached twice is refused: shared
-    # subtrees would take time exponential in the depth. Leaves may repeat.
-    level, depth, visits, seen = [formula], 0, 0, set()
-    while level and depth <= MAX_DEPTH:
-        ops = [node for node in level if isinstance(node, BinOp)]
-        visits += len(ops)
-        seen.update(map(id, ops))
-        if len(seen) < visits:
-            raise ProtocolError("formula reaches one operator node twice")
-        level = [c for node in ops for c in (node.left, node.right)]
-        depth += 1
-    if level:
-        raise ProtocolError(f"formula is more than {MAX_DEPTH} operators deep")
+    required = _required_indices(formula, len(data))
     if len(keyset.components) != 3:
         raise ProtocolError("protocol needs a key set with exactly 3 components")
     k1, k2, k3 = keyset.components
-    required = _required_indices(formula, len(data))
 
     messages = []
 

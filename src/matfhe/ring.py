@@ -21,6 +21,10 @@ class NotInvertibleError(ValueError):
         self.gcd = gcd
 
 
+class ParameterError(ValueError):
+    """A caller's parameter lies outside its documented range."""
+
+
 class NonCoprimeModuliError(ValueError):
     """CRT moduli share a factor, so no unique solution exists."""
 
@@ -135,9 +139,9 @@ def generate_coprime_set(m, bits, rng=None, candidates=None):
     success.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ParameterError("m must be >= 1")
     if bits < 8 or bits % 2:
-        raise ValueError("security parameter must be an even number >= 8")
+        raise ParameterError("security parameter must be an even number >= 8")
     if candidates is None and rng is None:
         raise ValueError("need an rng when no candidates are injected")
     half = bits // 2

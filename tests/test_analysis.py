@@ -16,7 +16,7 @@ from matfhe.cipher import (Enc4Randomness, enc4, encrypt_value,
 from matfhe.keys import KeyTuple, keygen4, keygen8
 from matfhe.matrix import (determinant, diagonal, identity, mat_mul, mat_sub,
                            random_invertible)
-from matfhe.ring import RingModulus
+from matfhe.ring import ParameterError, RingModulus, generate_coprime_set
 
 from conftest import RND_A
 from known_answers import MOD, N
@@ -168,6 +168,38 @@ class TestKpaCollision:
             with pytest.raises(ValueError,
                                match=r"plaintext must lie in \[0, 1155\)"):
                 kpa_collision_estimate(key_a, x, 10, random.Random(1))
+
+
+# Each library check of a caller's parameter. Each raises before the rng
+# it is given makes a draw.
+_PARAMETER_CHECKS = {
+    "coprime-m-0": lambda key, rng: generate_coprime_set(0, 16, rng),
+    "coprime-lambda-9": lambda key, rng: generate_coprime_set(1, 9, rng),
+    "kpa-trials-0": lambda key, rng: kpa_collision_estimate(key, 257, 0, rng),
+    "kpa-x-N": lambda key, rng: kpa_collision_estimate(key, N, 10, rng),
+    "kpa-x-minus-1": lambda key, rng: kpa_collision_estimate(key, -1, 10, rng),
+    "cost-bits-0": lambda key, rng: brute_force_cost(0, 4),
+    "cost-dim-0": lambda key, rng: brute_force_cost(4, 0),
+    "invertibility-samples-0":
+        lambda key, rng: invertibility_experiment([MOD], 0, 1, rng),
+    "invertibility-repeats-0":
+        lambda key, rng: invertibility_experiment([MOD], 5, 0, rng),
+    "invertibility-modulus-1":
+        lambda key, rng: invertibility_experiment([1], 5, 1, rng),
+    "invertibility-last-modulus-1":
+        lambda key, rng: invertibility_experiment([1155, 1], 5, 1, rng),
+}
+
+
+@pytest.mark.parametrize("call", _PARAMETER_CHECKS.values(),
+                         ids=_PARAMETER_CHECKS.keys())
+def test_parameter_checks_raise_parameter_error(key_a, call):
+    rng = random.Random(3)
+    with pytest.raises(ParameterError) as info:
+        call(key_a, rng)
+    assert isinstance(info.value, ValueError)
+    # Every modulus is checked before the first draw, the last one too.
+    assert rng.random() == random.Random(3).random()
 
 
 SECOND_MOD = RingModulus(m=2, bits=8, p=(3, 13), q=(5, 11),

@@ -284,6 +284,20 @@ def test_protocol_demo_datum_out_of_range_exit_5(tmp_path):
     assert r.returncode == 5
 
 
+def test_protocol_demo_negative_datum_exit_5(tmp_path):
+    r = run_cli("protocol-demo", "--f", "x1", "--data", "-1",
+                "--transcript", tmp_path / "t.log", cwd=tmp_path)
+    assert r.returncode == 5
+    assert "datum -1" in r.stderr and "not below" not in r.stderr
+
+
+def test_protocol_demo_bad_params_exit_2(tmp_path):
+    for args in (("--m", 0), ("--lambda", 9)):
+        r = run_cli("protocol-demo", "--f", "x1", "--data", "5", *args,
+                    "--transcript", tmp_path / "t.log", cwd=tmp_path)
+        assert r.returncode == 2
+
+
 def test_protocol_demo_bad_data_exit_2(tmp_path):
     r = run_cli("protocol-demo", "--f", "x1", "--data", "5,x",
                 "--transcript", tmp_path / "t.log", cwd=tmp_path)
@@ -301,6 +315,7 @@ def test_analyze_cost():
 
 def test_analyze_cost_bad_params_exit_2():
     assert run_cli("analyze", "cost", "--bits", 0, "--dim", 4).returncode == 2
+    assert run_cli("analyze", "cost", "--bits", 4, "--dim", 0).returncode == 2
 
 
 def test_analyze_invertibility_csv(tmp_path):
@@ -328,6 +343,8 @@ def test_analyze_invertibility_deterministic():
 def test_analyze_invertibility_bad_params_exit_2():
     assert run_cli("analyze", "invertibility", "--n", "1155",
                    "--samples", 0).returncode == 2
+    assert run_cli("analyze", "invertibility", "--n", "1155",
+                   "--repeats", 0).returncode == 2
     assert run_cli("analyze", "invertibility", "--n", "1,5").returncode == 2
 
 
@@ -355,6 +372,8 @@ def test_analyze_kpa_bad_params_exit_2():
     assert run_cli("analyze", "kpa", "--trials", 0, "--m", 1).returncode == 2
     assert run_cli("analyze", "kpa", "--trials", 10, "--m", 1,
                    "--factors", "3,7", "--x", 21).returncode == 2
+    assert run_cli("analyze", "kpa", "--trials", 10, "--m", 1,
+                   "--lambda", 9).returncode == 2
 
 
 # --- bench ---

@@ -14,8 +14,7 @@ import pytest
 from matfhe.cipher import Ciphertext, dec, enc4
 from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
                              DivisorNotInvertibleError, ExprSyntaxError, Ref,
-                             UnboundInputError,
-                             collect_refs, eval_expr, format_expr, has_const,
+                             UnboundInputError, eval_expr, format_expr,
                              he_add, he_div, he_mul, he_sub, parse_expr)
 from matfhe.keys import keygen4
 from matfhe.matrix import is_invertible
@@ -122,14 +121,6 @@ class TestParser:
     def test_format_expr_is_fully_parenthesized(self):
         assert format_expr(parse_expr("(x1+x2)*(x3-4)")) == "((x1+x2)*(x3-4))"
 
-    def test_collect_refs_first_appearance_order(self):
-        assert collect_refs(parse_expr("b*a+b-c")) == ["b", "a", "c"]
-        assert collect_refs(Const(5)) == []
-
-    def test_has_const(self):
-        assert has_const(parse_expr("a+1"))
-        assert not has_const(parse_expr("a+b*c"))
-
 
 class TestNestingDepth:
     """A tree more than MAX_DEPTH operators deep, or parentheses nested
@@ -163,7 +154,6 @@ class TestNestingDepth:
     ], ids=["sum", "parens", "right-nested", "sum-then-product"])
     def test_formula_at_the_limit_evaluates(self, key_b, ct_b5, text, value):
         tree = parse_expr(text)
-        assert collect_refs(tree) == ["a"] and not has_const(tree)
         assert parse_expr(format_expr(tree)) == tree
         env = CipherEnv(bindings={"a": ct_b5})
         assert dec(eval_expr(tree, env), key_b) == value

@@ -128,6 +128,25 @@ class TestRunProtocol:
         with pytest.raises(ProtocolError):
             run_protocol("7", (5, 6), ks, rng)
 
+    @pytest.mark.parametrize("formula, table, message", [
+        # Names are checked in first-appearance order, depth first: a
+        # breadth-first walk would meet b before a.
+        ("(a+x1)*b", (5, 6), "got 'a'"),
+        ("x1+3", (5,), "literal constants"),
+        ("(x1+x9)*x7", (1, 2, 3, 4, 5), "input x9 is outside"),
+    ])
+    def test_gate_reports_the_first_fault(self, formula, table, message):
+        with pytest.raises(ProtocolError, match=message):
+            run_protocol(formula, table, make_keyset(11), random.Random(12))
+
+    def test_ast_at_the_depth_limit_with_a_shared_leaf_runs(self):
+        leaf = node = Ref("x1")
+        for _ in range(MAX_DEPTH):
+            node = BinOp("+", node, leaf)
+        result, _ = run_protocol(node, (5,), make_keyset(14),
+                                 random.Random(15))
+        assert result == 5 * (MAX_DEPTH + 1)
+
     @staticmethod
     def chain(depth):
         node = Ref("x1")
