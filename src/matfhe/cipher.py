@@ -189,7 +189,7 @@ def _encrypt(x, key, rnd, dim):
     modulus = key.modulus
     n = modulus.n
     if key.dim != dim:
-        raise ValueError(f"enc{dim} needs a dim {dim} key")
+        raise ParameterError(f"enc{dim} needs a dim {dim} key")
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
     if dim == 4:

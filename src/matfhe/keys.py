@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .matrix import Matrix, identity, inverse, mat_mul, random_invertible_pair
-from .ring import GenerationError, RingModulus, generate_coprime_set
+from .ring import GenerationError, ParameterError, RingModulus, generate_coprime_set
 
 KEY_DIMS = (4, 8)
 
@@ -126,7 +126,7 @@ def keyset_gen(dim, count, m, bits, rng):
     stay independently checkable.
     """
     if count < 2:
-        raise ValueError("need at least two component keys")
+        raise ParameterError("need at least two component keys")
     modulus = generate_coprime_set(m, bits, rng)
     components = [KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
                   for _ in range(count)]

@@ -9,7 +9,7 @@ the determinant, not mere nonzero-ness.
 import math
 from operator import mul
 
-from .ring import GenerationError, NotInvertibleError
+from .ring import GenerationError, NotInvertibleError, ParameterError
 
 ALLOWED_DIMS = (2, 3, 4, 8)
 
@@ -20,9 +20,9 @@ class MismatchError(ValueError):
 
 def _check_shape(dim, modulus):
     if dim not in ALLOWED_DIMS:
-        raise ValueError(f"dimension must be one of {ALLOWED_DIMS}")
+        raise ParameterError(f"dimension must be one of {ALLOWED_DIMS}")
     if modulus <= 1:
-        raise ValueError("modulus must be > 1")
+        raise ParameterError("modulus must be > 1")
 
 
 class Matrix:

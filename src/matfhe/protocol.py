@@ -5,19 +5,25 @@ mapper are the two divisions of the processing center, the computation
 center evaluates formulas over masked operands, and the data user receives
 the result. Key distribution happens out of band: the owner holds k1 and
 the masking key k2, the mapper holds k3, the user holds the master key
-k1*k2*k3, and the computation center holds nothing. The message types have
-no key-bearing variant, so a well-typed transcript cannot ship key material
-as anything but a forged ciphertext body; the audit checks for exactly
-that.
+k1*k2*k3, and the computation center holds nothing. The owner encrypts
+only the requested entries, each straight under k1*k2: the ciphertext that
+locking its k1 encryption under k2 would give. It still draws coins for its
+whole table, so one seed gives one coin stream whatever the formula reads.
+The message types have no key-bearing variant, so a well-typed transcript
+cannot ship key material as anything but a forged ciphertext body; the
+audit checks for exactly that.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .cipher import dec, enc4, lock
+from .cipher import Enc4Randomness, _draw_enc4, dec, enc4, lock
 from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
                        format_expr, parse_expr)
 from .formats import entries_text
+from .keys import KeyTuple
+from .matrix import mat_mul
+from .ring import ParameterError
 
 
 class Role(Enum):
@@ -100,9 +106,10 @@ def _required_indices(formula, table_size):
             "computation center holds no key to encrypt them under")
     indices = []
     for name in names:
-        if not (name.startswith("x") and name[1:].isdigit()):
+        digits = name[1:]
+        if not (digits.isdecimal() and name == f"x{int(digits)}"):
             raise ProtocolError(f"data inputs must be named x1, x2, ...; got {name!r}")
-        i = int(name[1:])
+        i = int(digits)
         if not 1 <= i <= table_size:
             raise ProtocolError(f"input {name} is outside the data table")
         indices.append(i)
@@ -114,8 +121,8 @@ def run_protocol(formula, data, keyset, rng):
 
     formula is an expression AST (or text, parsed here) over inputs named
     x1..xt, 1-based into data. keyset needs exactly three components: the
-    owner encrypts under component 1 and masks under component 2, the
-    mapper locks under component 3, and the user decrypts with the master.
+    owner encrypts under components 1 and 2 composed, the mapper locks
+    under component 3, and the user decrypts with the master.
     """
     if isinstance(formula, str):
         formula = parse_expr(formula)
@@ -135,12 +142,19 @@ def run_protocol(formula, data, keyset, rng):
     messages.append(Message(Role.DELEGATOR, Role.DATA_OWNER,
                             DataRequest(required)))
 
-    # The owner keeps Y_i = enc4(x_i, k1) for its whole table and sends the
-    # requested entries masked one layer deeper, Z_i = lock(Y_i, k2).
-    held = [enc4(x, k1, rng) for x in data]
+    # For the same coins c, lock(enc4(x, k1, c), k2) = enc4(x, k1*k2, c), so
+    # the owner encrypts each requested entry once, under the composed pair.
+    # It draws coins for its whole table in table order, as encrypting it
+    # under k1 did, so a seed's coin stream does not depend on the formula.
+    n, m = keyset.modulus.n, keyset.modulus.m
+    if not all(0 <= x < n for x in data):
+        raise ParameterError(f"plaintext must lie in [0, {n})")
+    coins = [_draw_enc4(x, n, m, rng) for x in data]
+    owner = KeyTuple(keyset.modulus, mat_mul(k1.k, k2.k),
+                     mat_mul(k2.k_inv, k1.k_inv))
     operands = {}
     for i in required:
-        z = lock(held[i - 1], k2)
+        z = enc4(data[i - 1], owner, Enc4Randomness(*coins[i - 1]))
         operands[f"x{i}"] = z
         messages.append(Message(Role.DATA_OWNER, Role.COMPUTATION_CENTER,
                                 MaskedOperand(i, z)))

@@ -36,7 +36,7 @@ class GenerationError(RuntimeError):
 def mod_inverse(a, n):
     """Inverse of a mod n, or NotInvertibleError carrying gcd(a, n)."""
     if n <= 1:
-        raise ValueError("modulus must be > 1")
+        raise ParameterError("modulus must be > 1")
     a %= n
     g = math.gcd(a, n)
     if g != 1:
@@ -58,7 +58,7 @@ def crt_solve(residues):
     modulus = 1
     for r, n in residues:
         if n <= 1:
-            raise ValueError("moduli must be > 1")
+            raise ParameterError("moduli must be > 1")
         if not 0 <= r < n:
             raise ValueError(f"residue {r} out of range for modulus {n}")
         g = math.gcd(modulus, n)

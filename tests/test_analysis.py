@@ -11,12 +11,13 @@ from matfhe.analysis import (AttackReport, InconsistentPairsError,
                              invertibility_experiment, kpa_collision_estimate,
                              lemma6_witness, lemma7_check, strawman_cpa_attack,
                              strawman_encrypt)
-from matfhe.cipher import (Enc4Randomness, enc4, encrypt_value,
+from matfhe.cipher import (Enc4Randomness, enc4, enc8, encrypt_value,
                            sample_enc4_randomness)
-from matfhe.keys import KeyTuple, keygen4, keygen8
-from matfhe.matrix import (determinant, diagonal, identity, mat_mul, mat_sub,
-                           random_invertible)
-from matfhe.ring import ParameterError, RingModulus, generate_coprime_set
+from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
+from matfhe.matrix import (Matrix, determinant, diagonal, identity, mat_mul,
+                           mat_sub, random_invertible)
+from matfhe.ring import (ParameterError, RingModulus, crt_solve,
+                         generate_coprime_set, mod_inverse)
 
 from conftest import RND_A
 from known_answers import MOD, N
@@ -188,6 +189,16 @@ _PARAMETER_CHECKS = {
         lambda key, rng: invertibility_experiment([1], 5, 1, rng),
     "invertibility-last-modulus-1":
         lambda key, rng: invertibility_experiment([1155, 1], 5, 1, rng),
+    "keyset-count-1": lambda key, rng: keyset_gen(4, 1, 2, 16, rng),
+    "matrix-dim-5": lambda key, rng: random_invertible(5, N, rng),
+    "matrix-modulus-1": lambda key, rng: random_invertible(4, 1, rng),
+    "matrix-rows-dim-1": lambda key, rng: Matrix.from_rows([[1]], N),
+    "inverse-modulus-1": lambda key, rng: mod_inverse(3, 1),
+    "inverse-modulus-0": lambda key, rng: mod_inverse(3, 0),
+    "crt-modulus-1": lambda key, rng: crt_solve([(0, 7), (0, 1)]),
+    "enc8-dim-4-key": lambda key, rng: enc8(5, key, rng),
+    "enc4-dim-8-key": lambda key, rng: enc4(
+        5, keygen8(1, 8, random.Random(11), candidates=(3, 5)), rng),
 }
 
 

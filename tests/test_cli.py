@@ -276,6 +276,17 @@ def test_protocol_demo_rejects_constants(tmp_path):
     assert r.returncode == 2
 
 
+def test_protocol_demo_noncanonical_input_name_exit_2(tmp_path):
+    # x01 names index 1, but its operand is bound as x1: the gate refuses
+    # it before the owner encrypts, so no transcript is written.
+    log = tmp_path / "t.log"
+    r = run_cli("protocol-demo", "--f", "x01", "--data", "5,6",
+                "--transcript", log, cwd=tmp_path)
+    assert r.returncode == 2
+    assert "must be named x1, x2" in r.stderr
+    assert not log.exists()
+
+
 def test_protocol_demo_datum_out_of_range_exit_5(tmp_path):
     # At m=1, lambda=8 the modulus is at most 15 * 13 = 195.
     r = run_cli("protocol-demo", "--f", "x1", "--data", "100000",

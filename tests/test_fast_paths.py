@@ -14,7 +14,10 @@ coins. Key generation's row screen keeps its rows at a common scale and
 is checked against the screen that divides each row by its pivot. The
 formula parser, one token regex and one rule for both precedence levels,
 is checked against the character-loop parser with separate expr and term
-rules: same trees, same errors.
+rules: same trees, same errors. The protocol's owner, which encrypts only
+the requested entries under k1*k2, is checked against the owner that
+encrypted its whole table under k1 and locked what it sent under k2: same
+transcript, same result, same next draw.
 """
 
 import itertools
@@ -24,20 +27,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfhe import analysis, cipher
+from matfhe import analysis, cipher, protocol
 from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
                            _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
                            enc8, encryption_diagonal, lock,
                            sample_enc4_randomness, sample_enc8_randomness)
-from matfhe.evaluate import (MAX_DEPTH, BinOp, Const, ExprSyntaxError, Ref,
-                             parse_expr)
+from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
+                             ExprSyntaxError, Ref, eval_expr, parse_expr)
 from matfhe.formats import parse_key, serialize_key
-from matfhe.keys import KeyTuple, keygen4, keygen8
+from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe import matrix
 from matfhe.matrix import (MismatchError, diagonal, inverse, mat_mul,
                            random_invertible, random_invertible_pair)
-from matfhe.ring import GenerationError, crt_solve, generate_coprime_set
+from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
+                             MappedResult, MaskedOperand, Message, Role,
+                             Transcript, run_protocol, serialize_transcript)
+from matfhe.ring import (GenerationError, ParameterError, crt_solve,
+                         generate_coprime_set)
 
 from known_answers import KA, KA_INV, MOD
 
@@ -765,3 +772,114 @@ class TestFormulaParser:
             text = deep(n)[family]
             assert parse_outcome(parse_expr, text) == \
                 parse_outcome(frozen_parse_expr, text), n
+
+
+def frozen_run_protocol(formula, data, keyset, rng):
+    """run_protocol as its owner first ran it: every table entry encrypted
+    under k1 and held, and each requested one locked under k2 to be sent."""
+    if isinstance(formula, str):
+        formula = parse_expr(formula)
+    required = protocol._required_indices(formula, len(data))
+    k1, k2, k3 = keyset.components
+    messages = [
+        Message(Role.DATA_USER, Role.DELEGATOR, FormulaAnnouncement(formula)),
+        Message(Role.DELEGATOR, Role.COMPUTATION_CENTER,
+                FormulaAnnouncement(formula)),
+        Message(Role.DELEGATOR, Role.DATA_OWNER, DataRequest(required))]
+    held = [enc4(x, k1, rng) for x in data]
+    operands = {}
+    for i in required:
+        z = lock(held[i - 1], k2)
+        operands[f"x{i}"] = z
+        messages.append(Message(Role.DATA_OWNER, Role.COMPUTATION_CENTER,
+                                MaskedOperand(i, z)))
+    evaluated = eval_expr(formula, CipherEnv(bindings=operands))
+    mapped = lock(evaluated, k3)
+    messages += [Message(Role.COMPUTATION_CENTER, Role.MAPPER,
+                         EvalResult(evaluated)),
+                 Message(Role.MAPPER, Role.DATA_USER, MappedResult(mapped))]
+    result = dec(mapped, keyset.master)
+    return result, Transcript(tuple(messages), result)
+
+
+def table_formulas(size, rng):
+    """One formula reading every entry of a table of size entries, and
+    three reading a random part of it (one entry, maybe the last)."""
+    def tree(names):
+        if len(names) == 1:
+            return names[0]
+        cut = rng.randrange(1, len(names))
+        return f"({tree(names[:cut])}{rng.choice('+-*')}{tree(names[cut:])})"
+
+    names = [f"x{i}" for i in range(1, size + 1)]
+    parts = [rng.sample(names, rng.randrange(1, size + 1)) for _ in range(2)]
+    return [tree(names), tree(parts[0]), tree(parts[1]), rng.choice(names)]
+
+
+class TestOwnerEncryptsUnderTheComposedKey:
+    """run_protocol's owner draws coins for its whole table and encrypts
+    only the requested entries, straight under k1*k2, against the frozen
+    owner that encrypted every entry under k1 and locked the requested
+    ones under k2: same transcript, same result, same next draw."""
+
+    @pytest.mark.parametrize("size", (1, 5, 32))
+    @pytest.mark.parametrize("bits", (16, 64))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_transcript_and_next_draw_equal_the_frozen_owner(self, m, bits,
+                                                             size):
+        picks = random.Random(f"{m}-{bits}-{size}")
+        keyset = keyset_gen(4, 3, m, bits, picks)
+        n = keyset.modulus.n
+        data = [picks.randrange(n) for _ in range(size)]
+        data[0], data[-1] = 0, n - 1
+        for seed, formula in enumerate(table_formulas(size, picks)):
+            rng, twin = random.Random(seed), random.Random(seed)
+            result, transcript = run_protocol(formula, data, keyset, rng)
+            want, frozen = frozen_run_protocol(formula, data, keyset, twin)
+            assert result == want
+            assert serialize_transcript(transcript) == \
+                serialize_transcript(frozen)
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("bad", (-1, "n", "n+1"))
+    def test_unread_datum_out_of_range_is_refused(self, bad):
+        # Refused like the frozen owner's encryption of it, and before the
+        # first draw, as other parameter checks are.
+        keyset = keyset_gen(4, 3, 2, 16, random.Random(5))
+        n = keyset.modulus.n
+        data = (5, {"n": n, "n+1": n + 1}.get(bad, bad), 7)
+        rng = random.Random(6)
+        for run, source in ((run_protocol, rng),
+                            (frozen_run_protocol, random.Random(6))):
+            with pytest.raises(ParameterError, match="plaintext must lie"):
+                run("x1*x3", data, keyset, source)
+        assert rng.random() == random.Random(6).random()
+
+    def test_one_encryption_per_requested_entry_and_one_lock(self,
+                                                             monkeypatch):
+        calls = {"enc4": [], "lock": []}
+
+        def counted(real, made):
+            def call(*args):
+                made.append(args)
+                return real(*args)
+            return call
+
+        for name, made in calls.items():
+            monkeypatch.setattr(protocol, name,
+                                counted(getattr(protocol, name), made))
+        keyset = keyset_gen(4, 3, 2, 16, random.Random(7))
+        k1, k2, _ = keyset.components
+        every = table_formulas(32, random.Random(8))[0]
+        for formula, reads in (("x2*x4", 2), ("(x7-x7)*x32", 2), ("x1", 1),
+                               (every, 32)):
+            for made in calls.values():
+                made.clear()
+            run_protocol(formula, tuple(range(3, 35)), keyset,
+                         random.Random(9))
+            assert len(calls["enc4"]) == reads
+            assert len(calls["lock"]) == 1
+            owner = calls["enc4"][0][1]
+            assert all(key is owner for _, key, _ in calls["enc4"])
+            assert owner.verify()
+            assert owner.k == mat_mul(k1.k, k2.k)

@@ -85,8 +85,8 @@ class TestRunProtocol:
 
     def test_masked_operands_are_double_locked(self):
         # Each transmitted operand must decrypt under the composed key
-        # k1*k2: one encryption layer from the owner's table, one masking
-        # layer added before transmission.
+        # k1*k2. The owner encrypts it straight under k1*k2, which gives the
+        # k1 encryption of the entry locked under the masking key k2.
         ks = make_keyset(9)
         data = (41, 1234)
         _, transcript = run_protocol("x1-x2", data, ks, random.Random(10))
@@ -134,10 +134,24 @@ class TestRunProtocol:
         ("(a+x1)*b", (5, 6), "got 'a'"),
         ("x1+3", (5,), "literal constants"),
         ("(x1+x9)*x7", (1, 2, 3, 4, 5), "input x9 is outside"),
+        ("(x01+x9)*x7", (1, 2, 3, 4, 5), "got 'x01'"),
+        ("(x9+x01)*x7", (1, 2, 3, 4, 5), "input x9 is outside"),
     ])
     def test_gate_reports_the_first_fault(self, formula, table, message):
         with pytest.raises(ProtocolError, match=message):
             run_protocol(formula, table, make_keyset(11), random.Random(12))
+
+    @pytest.mark.parametrize("formula", [
+        "x01", "x1+x01", "x00", Ref("x\u0661"), Ref("x\u00b2"), Ref("x+1"),
+        Ref("x")])
+    def test_only_canonical_input_names_are_bound(self, monkeypatch, formula):
+        # Operands are bound as x1, x2, ...: the gate refuses any other
+        # spelling of an index before the owner draws coins or encrypts.
+        monkeypatch.setattr("matfhe.protocol.enc4", None)
+        rng = random.Random(12)
+        with pytest.raises(ProtocolError, match="must be named x1, x2"):
+            run_protocol(formula, (5, 6), make_keyset(11), rng)
+        assert rng.random() == random.Random(12).random()
 
     def test_ast_at_the_depth_limit_with_a_shared_leaf_runs(self):
         leaf = node = Ref("x1")
