@@ -3,22 +3,20 @@
 Covers the invertibility density of random matrices mod N, the brute-force
 cost formula, the ciphertext collision rate, witness constructions for the
 key-indistinguishability argument (lemma6_witness, lemma7_check), and a
-known-plaintext attack on the pedagogical dim 2 construction. That attack's
-(x + r, x * r) factoring fails on dim 4 ciphertexts, but the conjugation
-invariants still pin the plaintext: slot 0 of every diagonal is x, so
-det(C - y*I) = 0 mod N at y = x for every ciphertext of either dimension.
+keyless plaintext test: conjugation keeps the characteristic polynomial,
+and slot 0 of every diagonal is x, so det(C - y*I) = 0 mod N at y = x for
+every ciphertext of either dimension (plaintext_candidates).
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .cipher import (Enc4Randomness, Enc8Randomness, _draw_enc4, _draw_enc8,
                      dec, enc4, encryption_diagonal)
 from .keys import KeyTuple
-from .matrix import (Matrix, determinant, diagonal, inverse, is_invertible,
-                     mat_mul)
-from .ring import ParameterError, crt_solve
+from .matrix import (Matrix, determinant, diagonal, is_invertible, mat_mul,
+                     mat_sub)
+from .ring import ParameterError, mod_inverse
 
 
 def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
@@ -117,26 +115,22 @@ _DOUBLE_SWAP = ((0, 1, 0, 0),
 def lemma6_witness(i, modulus):
     """The involutory key matrix k_i tied to factor i (1-based).
 
-    Entrywise CRT construction: congruent to the double-swap permutation
-    matrix (which exchanges slots 1,2 and slots 3,4) mod p_i, and to the
-    identity mod q_i and mod every other f_j. Needs a modulus that still
+    Congruent to the double-swap permutation matrix P (which exchanges
+    slots 1,2 and slots 3,4) mod p_i, and to the identity mod q_i and mod
+    every other f_j: I + e * (P - I) mod N, where e is the CRT idempotent
+    that is 1 mod p_i and 0 mod N / p_i. Needs a modulus that still
     carries its p/q split.
     """
     if not 1 <= i <= modulus.m:
         raise ValueError(f"factor index must be in 1..{modulus.m}")
     if not modulus.has_split:
         raise ValueError("modulus does not carry its p/q split")
+    n = modulus.n
     p_i = modulus.p[i - 1]
-    q_i = modulus.q[i - 1]
-    entries = []
-    for r in range(4):
-        for c in range(4):
-            ident = 1 if r == c else 0
-            residues = [(_DOUBLE_SWAP[r][c] % p_i, p_i), (ident % q_i, q_i)]
-            residues += [(ident % fj, fj)
-                         for j, fj in enumerate(modulus.f) if j != i - 1]
-            entries.append(crt_solve(residues))
-    return Matrix(4, modulus.n, tuple(entries))
+    e = n // p_i * mod_inverse(n // p_i, p_i)
+    return Matrix(4, n, tuple((e * (swap - (r == c)) + (r == c)) % n
+                              for r, row in enumerate(_DOUBLE_SWAP)
+                              for c, swap in enumerate(row)))
 
 
 def lemma7_check(x, key, rnd, i):
@@ -168,59 +162,14 @@ def lemma7_check(x, key, rnd, i):
     return y, holds
 
 
-def strawman_encrypt(x, r, k):
-    """Pedagogical dim 2 scheme: k_inv * diag(x, r) * k.
+def plaintext_candidates(ct, ys):
+    """The values y in ys, in order, at which det(C - y*I) = 0 mod N.
 
-    Deliberately weak; exists as the target for strawman_cpa_attack. Not
-    part of the real API.
+    Conjugation keeps det(C - y*I) = prod_j (d_j - y) mod N over the hidden
+    diagonal d, and slot 0 of d is x, so the plaintext is a candidate for
+    every ciphertext of any dim. No key is needed.
     """
-    n = k.modulus
-    return mat_mul(mat_mul(inverse(k), diagonal((x, r), n)), k)
-
-
-class InconsistentPairsError(ValueError):
-    """The trace/determinant constraints of a pair disagree."""
-
-
-@dataclass(frozen=True)
-class AttackReport:
-    """Known-plaintext attack output on the dim 2 strawman.
-
-    constraints holds one (trace, det) pair per ciphertext, which for the
-    strawman equal (x + r, x * r) mod N; blinds holds the recovered r per
-    pair. underdetermined is set when fewer than two pairs were supplied.
-    """
-
-    constraints: tuple
-    blinds: tuple
-    underdetermined: bool
-
-
-def strawman_cpa_attack(pairs):
-    """Recover each pair's blind from conjugation invariants.
-
-    Trace and determinant survive conjugation, so a dim 2 ciphertext of x
-    reveals (x + r, x * r) directly: r is trace minus x, cross-checked
-    against the determinant. Dim 4 ciphertexts blend three CRT-mixed slots
-    into the trace, so the cross-check fails with InconsistentPairsError:
-    this factoring no longer applies. The invariants still pin x, though:
-    slot 0 is x, so det(C - y*I) = 0 mod N at y = x for every ciphertext.
-    """
-    if not pairs:
-        raise ValueError("need at least one (plaintext, ciphertext) pair")
-    constraints = []
-    blinds = []
-    for x, mat in pairs:
-        n = mat.modulus
-        trace = sum(mat[i, i] for i in range(mat.dim)) % n
-        det = determinant(mat)
-        r = (trace - x) % n
-        if (x * r) % n != det:
-            raise InconsistentPairsError(
-                f"trace and determinant disagree for plaintext {x}: "
-                f"the invariants do not factor as (x + r, x * r)")
-        constraints.append((trace, det))
-        blinds.append(r)
-    return AttackReport(constraints=tuple(constraints),
-                        blinds=tuple(blinds),
-                        underdetermined=len(pairs) < 2)
+    body = ct.body
+    n = body.modulus
+    return [y for y in ys
+            if determinant(mat_sub(body, diagonal((y,) * body.dim, n))) == 0]

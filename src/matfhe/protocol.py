@@ -84,7 +84,8 @@ def _required_indices(formula, table_size):
     operator node twice: eval_expr and format_expr go path by path, so shared
     subtrees take time exponential in the depth (leaves may repeat). Then,
     over the leaves left to right: some input, no constant, and each name in
-    first-appearance order is x1, x2, ... within the table."""
+    first-appearance order is x1, x2, ... within the table. A name is
+    checked as text, with no leading zero, before its digits are converted."""
     leaves, seen, stack = [], set(), [(formula, 1)]
     while stack:
         node, depth = stack.pop()
@@ -107,12 +108,14 @@ def _required_indices(formula, table_size):
     indices = []
     for name in names:
         digits = name[1:]
-        if not (digits.isdecimal() and name == f"x{int(digits)}"):
+        if not (name.startswith("x") and digits.isascii()
+                and digits.isdecimal() and digits[0] != "0"):
             raise ProtocolError(f"data inputs must be named x1, x2, ...; got {name!r}")
-        i = int(digits)
-        if not 1 <= i <= table_size:
+        # More digits than the table size has is outside the table; the
+        # length test spares int() a name of thousands of digits.
+        if len(digits) > len(str(table_size)) or int(digits) > table_size:
             raise ProtocolError(f"input {name} is outside the data table")
-        indices.append(i)
+        indices.append(int(digits))
     return tuple(sorted(set(indices)))
 
 
@@ -129,6 +132,8 @@ def run_protocol(formula, data, keyset, rng):
     required = _required_indices(formula, len(data))
     if len(keyset.components) != 3:
         raise ProtocolError("protocol needs a key set with exactly 3 components")
+    if keyset.master.dim != 4:
+        raise ParameterError("enc4 needs a dim 4 key")
     k1, k2, k3 = keyset.components
 
     messages = []

@@ -1,18 +1,18 @@
-"""Experiments, witness constructions, the dim 2 attack, and the
-plaintext-candidate test that conjugation invariants allow at dims 4 and 8."""
+"""Experiments, witness constructions, and the keyless plaintext-candidate
+test that conjugation invariants allow at dims 4 and 8."""
 
 import math
 import random
 
 import pytest
 
-from matfhe.analysis import (AttackReport, InconsistentPairsError,
-                             brute_force_cost, count_invertible_exhaustive,
+from matfhe.analysis import (brute_force_cost, count_invertible_exhaustive,
                              invertibility_experiment, kpa_collision_estimate,
-                             lemma6_witness, lemma7_check, strawman_cpa_attack,
-                             strawman_encrypt)
+                             lemma6_witness, lemma7_check,
+                             plaintext_candidates)
 from matfhe.cipher import (Enc4Randomness, enc4, enc8, encrypt_value,
                            sample_enc4_randomness)
+from matfhe.evaluate import he_add, he_mul
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe.matrix import (Matrix, determinant, diagonal, identity, mat_mul,
                            mat_sub, random_invertible)
@@ -240,6 +240,29 @@ class TestLemma6Witness:
             assert mat_mul(w, w) == identity(4, modulus.n)
             assert w != identity(4, modulus.n)
 
+    @staticmethod
+    def crt_witness(i, modulus):
+        """The witness entry by entry, one crt_solve per entry."""
+        p_i, q_i = modulus.p[i - 1], modulus.q[i - 1]
+        entries = []
+        for r in range(4):
+            for c in range(4):
+                ident = 1 if r == c else 0
+                residues = [(_DOUBLE_SWAP[r][c] % p_i, p_i), (ident % q_i, q_i)]
+                residues += [(ident % fj, fj)
+                             for j, fj in enumerate(modulus.f) if j != i - 1]
+                entries.append(crt_solve(residues))
+        return Matrix(4, modulus.n, tuple(entries))
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("bits", (16, 64))
+    def test_idempotent_form_matches_crt_construction(self, m, bits):
+        rng = random.Random(100 * m + bits)
+        for modulus in (MOD, SECOND_MOD,
+                        *(generate_coprime_set(m, bits, rng) for _ in range(5))):
+            for i in range(1, modulus.m + 1):
+                assert lemma6_witness(i, modulus) == self.crt_witness(i, modulus)
+
     def test_witnesses_differ_per_factor(self):
         assert lemma6_witness(1, MOD) != lemma6_witness(2, MOD)
 
@@ -289,65 +312,35 @@ class TestLemma7Check:
             lemma7_check(257, key_a, RND_A, 0)
 
 
-class TestStrawmanAttack:
-    def _key2(self, seed):
-        return random_invertible(2, N, random.Random(seed))
-
-    def test_two_pairs_recover_blinds(self):
-        k = self._key2(15)
-        pairs = [(7, strawman_encrypt(7, 100, k)),
-                 (30, strawman_encrypt(30, 999, k))]
-        report = strawman_cpa_attack(pairs)
-        assert isinstance(report, AttackReport)
-        assert not report.underdetermined
-        assert report.blinds == (100, 999)
-        assert report.constraints == ((107, 700), ((30 + 999) % N,
-                                                   30 * 999 % N))
-
-    def test_single_pair_is_underdetermined(self):
-        k = self._key2(16)
-        report = strawman_cpa_attack([(7, strawman_encrypt(7, 100, k))])
-        assert report.underdetermined
-        assert report.blinds == (100,)
-
-    def test_mislabeled_plaintext_detected(self):
-        k = self._key2(17)
-        ct = strawman_encrypt(7, 100, k)
-        with pytest.raises(InconsistentPairsError):
-            strawman_cpa_attack([(8, ct)])
-
-    def test_dim4_ciphertexts_defeat_the_attack(self, key_a, ct_a):
-        # The same invariants no longer factor as (x + r, x * r): the CRT
-        # slots contribute independent values, so the cross-check fails
-        # and no unique blind is recovered.
-        with pytest.raises(InconsistentPairsError):
-            strawman_cpa_attack([(257, ct_a.body)])
-        rng = random.Random(18)
-        for x in (5, 12, 600):
-            ct = enc4(x, key_a, rng)
-            with pytest.raises(InconsistentPairsError):
-                strawman_cpa_attack([(x, ct.body)])
-
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            strawman_cpa_attack([])
-
-
 class TestPlaintextCandidates:
     """Conjugation keeps det(C - y*I) = prod_j (d_j - y) mod N, and slot 0
     of the hidden diagonal d is x, so y = x is always a root. Over a small
-    candidate range the plaintext is in practice the only one, which is
-    why the invariants pin dim 4 and dim 8 plaintexts even though the
-    strawman's (x + r, x * r) factoring fails on them."""
+    candidate range the plaintext is in practice the only one, so the
+    invariants pin dim 4 and dim 8 plaintexts without the key."""
 
     @pytest.mark.parametrize("dim,keygen", [(4, keygen4), (8, keygen8)])
     @pytest.mark.parametrize("bits", (16, 64, 256))
     def test_plaintext_is_the_only_small_root(self, dim, keygen, bits):
         rng = random.Random(dim * 1000 + bits)
         key = keygen(2, bits, rng)
-        n = key.modulus.n
         for x in rng.sample(range(16), 5):
-            body = encrypt_value(x, key, rng).body
-            roots = [y for y in range(16) if determinant(
-                mat_sub(body, diagonal((y,) * dim, n))) == 0]
-            assert roots == [x]
+            ct = encrypt_value(x, key, rng)
+            assert plaintext_candidates(ct, range(16)) == [x]
+
+    def test_matches_the_determinant_of_c_minus_y(self, key_a):
+        # Against the definition, in the order of ys, repeats kept.
+        ys = (600, 3, 257, 257, 0, 1154)
+        ct = enc4(257, key_a, random.Random(22))
+        body = ct.body
+        want = [y for y in ys if determinant(
+            mat_sub(body, diagonal((y,) * 4, N))) == 0]
+        assert plaintext_candidates(ct, ys) == want
+        assert want.count(257) == 2
+
+    def test_evaluated_ciphertexts_keep_the_root(self, key_a):
+        # A sum or product is conjugated by the same k, with slot 0 the
+        # plaintext sum or product.
+        rng = random.Random(23)
+        a, b = enc4(5, key_a, rng), enc4(7, key_a, rng)
+        assert 12 in plaintext_candidates(he_add(a, b), range(40))
+        assert 35 in plaintext_candidates(he_mul(a, b), range(40))

@@ -287,6 +287,18 @@ def test_protocol_demo_noncanonical_input_name_exit_2(tmp_path):
     assert not log.exists()
 
 
+def test_protocol_demo_long_input_name_exit_2(tmp_path):
+    # 4,400 digits is past int()'s conversion limit: the gate refuses the
+    # name as outside the table without converting it.
+    log = tmp_path / "t.log"
+    r = run_cli("protocol-demo", "--f", "x" + "1" * 4400, "--data", "5",
+                "--transcript", log, cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "outside the data table" in r.stderr
+    assert "Exceeds the limit" not in r.stderr
+    assert not log.exists()
+
+
 def test_protocol_demo_datum_out_of_range_exit_5(tmp_path):
     # At m=1, lambda=8 the modulus is at most 15 * 13 = 195.
     r = run_cli("protocol-demo", "--f", "x1", "--data", "100000",

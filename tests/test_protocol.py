@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from matfhe.analysis import plaintext_candidates
 from matfhe.cipher import Ciphertext, dec
 from matfhe.evaluate import MAX_DEPTH, BinOp, Const, Ref
 from matfhe.keys import KeyTuple, keyset_gen
 from matfhe.matrix import mat_mul
+from matfhe.ring import ParameterError
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
                              MappedResult, MaskedOperand, Message,
                              ProtocolError, Role, Transcript,
@@ -153,6 +155,25 @@ class TestRunProtocol:
             run_protocol(formula, (5, 6), make_keyset(11), rng)
         assert rng.random() == random.Random(12).random()
 
+    @pytest.mark.parametrize("digits, table", [
+        ("1" * 4400, (5,)), ("9" * 4400, tuple(range(12))), ("13", (5,) * 12),
+        ("100", (5,) * 99)])
+    def test_name_past_the_table_is_refused_before_conversion(self, digits,
+                                                              table):
+        # int() refuses more than 4,300 digits with a plain ValueError; a
+        # name with more digits than the table size is refused unconverted.
+        rng = random.Random(12)
+        with pytest.raises(ProtocolError, match="outside the data table"):
+            run_protocol("x" + digits, table, make_keyset(11), rng)
+        assert rng.random() == random.Random(12).random()
+
+    @pytest.mark.parametrize("formula, table", [
+        ("x9", (5,) * 9), ("x10", (5,) * 10), ("x1+x99", (5,) * 99)])
+    def test_name_at_the_table_end_runs(self, formula, table):
+        result, _ = run_protocol(formula, table, make_keyset(11),
+                                 random.Random(12))
+        assert result == 5 * len(formula.split("+"))
+
     def test_ast_at_the_depth_limit_with_a_shared_leaf_runs(self):
         leaf = node = Ref("x1")
         for _ in range(MAX_DEPTH):
@@ -208,6 +229,30 @@ class TestRunProtocol:
         two = keyset_gen(4, 2, 2, 16, rng)
         with pytest.raises(ProtocolError):
             run_protocol("x1", (5,), two, rng)
+
+    def test_dim_8_keyset_refused_before_the_first_draw(self):
+        dim8 = keyset_gen(8, 3, 2, 16, random.Random(13))
+        rng = random.Random(14)
+        with pytest.raises(ParameterError, match="enc4 needs a dim 4 key"):
+            run_protocol("x1", (5, 6, 7), dim8, rng)
+        assert rng.random() == random.Random(14).random()
+
+    def test_computation_center_reads_every_operand_below_100(self):
+        # What the computation center receives leaks small plaintexts with
+        # no key: det(C - y*I) = 0 mod N picks out each masked entry.
+        recovered = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            ks = make_keyset(seed)
+            data = tuple(rng.randrange(100) for _ in range(4))
+            _, transcript = run_protocol("x1*x2+x3-x4", data, ks, rng)
+            for msg in transcript.messages:
+                if isinstance(msg.payload, MaskedOperand):
+                    assert plaintext_candidates(
+                        msg.payload.ciphertext, range(100)) == [
+                            data[msg.payload.index - 1]]
+                    recovered += 1
+        assert recovered == 40
 
 
 class TestAudit:
