@@ -24,13 +24,16 @@ def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
 
     Each entry of moduli is a RingModulus or a bare int (bare ints allow
     degenerate test values like 4 that the modulus type rejects). Returns
-    {n: [count per repeat]}. Every modulus is checked before the first draw.
+    {n: [count per repeat]}, so a repeated modulus is refused. Every modulus
+    is checked before the first draw.
     """
     if samples < 1 or repeats < 1:
         raise ParameterError("samples and repeats must be >= 1")
     ns = [getattr(modulus, "n", modulus) for modulus in moduli]
     if any(n < 2 for n in ns):
         raise ParameterError("moduli must be >= 2")
+    if len(set(ns)) != len(ns):
+        raise ParameterError("moduli must not repeat")
     out = {}
     for n in ns:
         counts = []

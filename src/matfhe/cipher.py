@@ -2,26 +2,18 @@
 
 A plaintext x sits in the top-left slot of a diagonal matrix whose other
 slots blend x with one blind (dim 4) or two (dim 8) through per-factor CRT
-choices: the coins give a row of slot values per factor, and
-encryption_diagonal folds the rows through the CRT basis. One body checks
-key, plaintext and coins for both dimensions and conjugates the diagonal
-by the key. Decryption conjugates back and reads the top-left entry.
-Conjugation is a ring homomorphism, so ciphertext sums and products track
-plaintext sums and products.
-
-Conjugation is linear in the diagonal: k_inv * diag(D) * k = sum(D_j * Q_j)
-over the key's rank-1 slot projectors Q_j = (column j of k_inv) * (row j
-of k). So under a key pair every dim 4 ciphertext is
-C = r * I + (x - r) * P_c, where the slot sum P_c depends only on the row
-choices c; the key caches its at most 3^m of them, and a warm encryption
-is 16 multiplications. A fresh key pays on first use for its projectors
-(64 multiplications) and, per new pattern, for P_c: one pass of 16
-multiply-adds per factor and one reduction. Given an rng, enc4 draws its
-coins raw and builds no coin object. Dim 8 keeps the column-scaled
-product (see _encrypt).
+choices: the coins give a row of slot values per factor, and the rows fold
+through the CRT basis into the diagonal D. One body checks key, plaintext
+and coins for both dimensions and conjugates D by the key in one fused
+product, k_inv's rows scaled by D times k; given an rng, it draws the coins
+raw and builds no coin object. The key holds no cached state. Decryption
+conjugates back and reads the top-left entry. Conjugation is a ring
+homomorphism, so ciphertext sums and products track plaintext sums and
+products.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .matrix import Matrix, _check_pair, mat_mul
 from .ring import ParameterError
@@ -62,9 +54,7 @@ class Enc4Randomness:
         return (self.r,)
 
     def slot_rows(self, x):
-        r = self.r
-        base = ((x, r, r), (r, x, r), (r, r, x))
-        return [base[c - 1] for c in self.row_choices]
+        return _enc4_rows(x, self.r, self.row_choices)
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,7 @@ class Enc8Randomness:
         return (self.r1, self.r2)
 
     def slot_rows(self, x):
-        values = {"x": x, "r1": self.r1, "r2": self.r2}
-        return [[values[slot] for slot in row] for row in self.rows]
+        return _enc8_rows(x, self.r1, self.r2, self.rows)
 
 
 def _draw_blind(taken, n, rng):
@@ -135,88 +124,68 @@ def sample_enc8_randomness(x, modulus, rng):
     return Enc8Randomness(*_draw_enc8(x, modulus.n, modulus.m, rng))
 
 
-def _check_row_count(rows, modulus):
+def _enc4_rows(x, r, choices):
+    base = ((x, r, r), (r, x, r), (r, r, x))
+    return [base[c - 1] for c in choices]
+
+
+def _enc8_rows(x, r1, r2, rows):
+    values = {"x": x, "r1": r1, "r2": r2}
+    return [[values[slot] for slot in row] for row in rows]
+
+
+def _fold(x, rows, modulus):
+    """(x, x1, ...): slot j is sum(rows[i][j] * e_i) mod n over the CRT
+    basis, so it agrees with row i's entry j mod each f_i."""
     if len(rows) != modulus.m:
         raise ValueError("need one slot row per factor")
+    e = modulus.crt_basis
+    n = modulus.n
+    return (x,) + tuple(sum(map(mul, c, e)) % n for c in zip(*rows))
 
 
 def encryption_diagonal(x, modulus, rnd):
-    """The diagonal (x, x1, ...) before conjugation, for enc4 or enc8 coins.
-
-    rnd.slot_rows(x) gives one row of slot values per factor; slot j is
-    sum(rows[i][j] * e_i) mod n over the CRT basis, so it agrees with row
-    i's entry j mod each f_i.
-    """
-    rows = rnd.slot_rows(x)
-    _check_row_count(rows, modulus)
-    e = modulus.crt_basis
-    return (x,) + tuple(sum(v * b for v, b in zip(c, e)) % modulus.n
-                        for c in zip(*rows))
-
-
-def _slot_sum(key, choices):
-    """P_c = Q_0 + sum(e_i * Q_{c_i}) mod n for row choices c, cached on the
-    key: the dim 4 encryption of 1 with blind 0. Each factor adds e_i times
-    one projector to the running rows, and the sum is reduced once."""
-    modulus = key.modulus
-    _check_row_count(choices, modulus)
-    q = key.slot_projectors
-    total = q[0]
-    for c, e in zip(choices, modulus.crt_basis):
-        total = [t + e * v for t, v in zip(total, q[c])]
-    n = modulus.n
-    total = tuple(t % n for t in total)
-    key.slot_sums[choices] = total
-    return total
+    """The diagonal (x, x1, ...) before conjugation, for enc4 or enc8 coins."""
+    return _fold(x, rnd.slot_rows(x), modulus)
 
 
 def _encrypt(x, key, rnd, dim):
     """k_inv * diag(D) * k for x's encryption diagonal D. rnd is fixed coins
-    or an rng to draw them from: dim 4 takes an rng's (r, row choices) raw
-    from _draw_enc4, with no coin object built; dim 8 samples an
-    Enc8Randomness. Either way the blinds pass one check.
+    or an rng to draw them raw from, with no coin object built; either way
+    the blinds pass one check and the rows fold into D through the CRT
+    basis. Which coins are drawn is the only difference between the dims.
 
-    At dim 4, D = r * (1, ..., 1) + (x - r) * D(1, 0), since the CRT basis
-    sums to 1, and k_inv * diag(D) * k = sum(D_j * Q_j) over the key's slot
-    projectors. So C = r * S + (x - r) * P_c, where S = sum(Q_j) = k_inv * k
-    (the identity for a true key pair, so r * S costs no full-width
-    multiplication) and P_c is the slot sum of the row choices c, cached on
-    the key: 16 multiplications once c is cached. At dim 8 each ciphertext
-    would need its own sum over two blinds and 140^m arrangements, which
-    on a fresh key costs more than the product, so k_inv's columns are
-    scaled by D and multiplied by k.
+    The product is fused: row i of k_inv is scaled by D, each entry reduced
+    mod n, and entry (i, l) of the body is that row's dot product with
+    column l of k, reduced once: dim^2 + dim^3 multiplications, with no
+    diagonal matrix and no intermediate Matrix built.
     """
     modulus = key.modulus
-    n = modulus.n
+    n, m = modulus.n, modulus.m
     if key.dim != dim:
         raise ParameterError(f"enc{dim} needs a dim {dim} key")
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
     if dim == 4:
-        r, choices = ((rnd.r, tuple(rnd.row_choices))
-                      if isinstance(rnd, Enc4Randomness)
-                      else _draw_enc4(x, n, modulus.m, rnd))
-        blinds = (r,)
+        drawn = ((rnd.r, rnd.row_choices) if isinstance(rnd, Enc4Randomness)
+                 else _draw_enc4(x, n, m, rnd))
+        rows = _enc4_rows(x, *drawn)
     else:
-        if not isinstance(rnd, Enc8Randomness):
-            rnd = sample_enc8_randomness(x, modulus, rnd)
-        blinds = rnd.blinds
+        drawn = ((rnd.r1, rnd.r2, rnd.rows) if isinstance(rnd, Enc8Randomness)
+                 else _draw_enc8(x, n, m, rnd))
+        rows = _enc8_rows(x, *drawn)
     taken = [x]
-    for b in blinds:
+    for b in drawn[:-1]:
         if not 0 <= b < n or b in taken:
             raise ValueError("need distinct blinds in [0, n), none equal to x")
         taken.append(b)
-    if dim == 4:
-        total = key.slot_sums.get(choices) or _slot_sum(key, choices)
-        t = x - r
-        body = [t * p % n for p in total]
-        for i, s in key.projector_sum:
-            body[i] = (body[i] + r * s) % n
-        return Ciphertext(Matrix(4, n, tuple(body)))
-    diag = encryption_diagonal(x, modulus, rnd)
-    k_inv = key.k_inv
-    scaled = tuple(v * s % n for r in k_inv.rows() for v, s in zip(r, diag))
-    return Ciphertext(mat_mul(Matrix(dim, n, scaled), key.k))
+    diag = _fold(x, rows, modulus)
+    k, k_inv = key.k.entries, key.k_inv.entries
+    cols = [k[j::dim] for j in range(dim)]
+    scaled_rows = [[v * s % n for v, s in zip(k_inv[i:i + dim], diag)]
+                   for i in range(0, dim * dim, dim)]
+    return Ciphertext(Matrix(dim, n, tuple([
+        sum(map(mul, row, col)) % n for row in scaled_rows for col in cols])))
 
 
 def enc4(x, key, rnd):

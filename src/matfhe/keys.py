@@ -1,7 +1,6 @@
 """Key material: conjugation key pairs and multiplicative key sets."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .matrix import Matrix, identity, inverse, mat_mul, random_invertible_pair
 from .ring import GenerationError, ParameterError, RingModulus, generate_coprime_set
@@ -28,30 +27,6 @@ class KeyTuple:
     @property
     def dim(self):
         return self.k.dim
-
-    @cached_property
-    def slot_projectors(self):
-        """Q_j = (column j of k_inv) * (row j of k) mod n, one flat row-major
-        tuple per slot j, so k_inv * diag(D) * k = sum(D_j * Q_j) mod n."""
-        d, n = self.dim, self.modulus.n
-        k, k_inv = self.k.entries, self.k_inv.entries
-        return tuple(tuple(a * b % n for a in k_inv[j::d]
-                           for b in k[j * d:(j + 1) * d])
-                     for j in range(d))
-
-    @cached_property
-    def projector_sum(self):
-        """sum(Q_j) = k_inv * k mod n as (index, value) pairs of its nonzero
-        flat entries: the diagonal ones of the identity for a true key pair."""
-        n = self.modulus.n
-        total = (sum(q) % n for q in zip(*self.slot_projectors))
-        return tuple((i, v) for i, v in enumerate(total) if v)
-
-    @cached_property
-    def slot_sums(self):
-        """Dim 4 slot sums P_c by row-choice tuple c, filled on first use
-        by encryption (at most 3^m of them)."""
-        return {}
 
     def verify(self):
         """True when k * k_inv is the identity mod n."""

@@ -77,6 +77,14 @@ class ProtocolError(RuntimeError):
     """The protocol's own preconditions were violated."""
 
 
+def _shown(name, whole):
+    """whole for a name of at most 20 characters; a longer one is cut to
+    its first five and its length, so a refusal stays one short line."""
+    if len(name) <= 20:
+        return whole
+    return f"{name[:5] + '...'!r} ({len(name)} characters)"
+
+
 def _required_indices(formula, table_size):
     """Sorted table indices the formula reads, from one depth-first walk.
 
@@ -110,11 +118,13 @@ def _required_indices(formula, table_size):
         digits = name[1:]
         if not (name.startswith("x") and digits.isascii()
                 and digits.isdecimal() and digits[0] != "0"):
-            raise ProtocolError(f"data inputs must be named x1, x2, ...; got {name!r}")
+            raise ProtocolError("data inputs must be named x1, x2, ...; "
+                                f"got {_shown(name, repr(name))}")
         # More digits than the table size has is outside the table; the
         # length test spares int() a name of thousands of digits.
         if len(digits) > len(str(table_size)) or int(digits) > table_size:
-            raise ProtocolError(f"input {name} is outside the data table")
+            raise ProtocolError(
+                f"input {_shown(name, name)} is outside the data table")
         indices.append(int(digits))
     return tuple(sorted(set(indices)))
 

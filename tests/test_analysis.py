@@ -189,6 +189,10 @@ _PARAMETER_CHECKS = {
         lambda key, rng: invertibility_experiment([1], 5, 1, rng),
     "invertibility-last-modulus-1":
         lambda key, rng: invertibility_experiment([1155, 1], 5, 1, rng),
+    "invertibility-repeated-modulus":
+        lambda key, rng: invertibility_experiment([1155, 77, 1155], 5, 1, rng),
+    "invertibility-modulus-repeated-as-int":
+        lambda key, rng: invertibility_experiment([MOD, 1155], 5, 1, rng),
     "keyset-count-1": lambda key, rng: keyset_gen(4, 1, 2, 16, rng),
     "matrix-dim-5": lambda key, rng: random_invertible(5, N, rng),
     "matrix-modulus-1": lambda key, rng: random_invertible(4, 1, rng),

@@ -299,6 +299,17 @@ def test_protocol_demo_long_input_name_exit_2(tmp_path):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("name", ["x" + "1" * 4400, "y" + "1" * 4400])
+def test_protocol_demo_long_input_name_is_cut_in_the_message(tmp_path,
+                                                              name):
+    # Both refusals of a name cut it: stderr stays one short line.
+    r = run_cli("protocol-demo", "--f", name, "--data", "5",
+                "--transcript", tmp_path / "t.log", cwd=tmp_path)
+    assert r.returncode == 2
+    assert len(r.stderr.encode()) < 200, r.stderr
+    assert f"'{name[:5]}...' (4401 characters)" in r.stderr
+
+
 def test_protocol_demo_datum_out_of_range_exit_5(tmp_path):
     # At m=1, lambda=8 the modulus is at most 15 * 13 = 195.
     r = run_cli("protocol-demo", "--f", "x1", "--data", "100000",
@@ -369,6 +380,16 @@ def test_analyze_invertibility_bad_params_exit_2():
     assert run_cli("analyze", "invertibility", "--n", "1155",
                    "--repeats", 0).returncode == 2
     assert run_cli("analyze", "invertibility", "--n", "1,5").returncode == 2
+
+
+def test_analyze_invertibility_repeated_modulus_exit_2():
+    # Counts are keyed by modulus: a repeat would print the last run's
+    # counts twice and lose the first's.
+    r = run_cli("analyze", "invertibility", "--n", "1155,1155",
+                "--samples", 50, "--repeats", 2, "--seed", 1)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "moduli must not repeat" in r.stderr
 
 
 def test_analyze_kpa_toy_modulus():

@@ -1,17 +1,16 @@
 """Fast paths against their slow oracles.
 
 Encryption folds each diagonal slot through the modulus's cached CRT
-basis; dim 4 encryption sums the key's cached slot projectors and dim 8
-scales the columns of k_inv instead of multiplying by a diagonal matrix;
-decryption computes only the top-left entry of k * C * k_inv; the
+basis and, at dims 4 and 8 alike, scales the columns of k_inv by the
+diagonal inside one fused product instead of multiplying by a diagonal
+matrix; decryption computes only the top-left entry of k * C * k_inv; the
 collision estimate folds a trial's diagonal only when its trace matches
 the target's. Each property below pits one of these against the
 straightforward computation it replaces: crt_solve per slot, two full
 matrix products, the full recovered diagonal, and folding every trial.
-A slot sum is built by one row addition per factor and checked against
-the weighted four-term sum, and enc4's raw rng draws against sampled
-coins. Key generation's row screen keeps its rows at a common scale and
-is checked against the screen that divides each row by its pivot. The
+Encryption's raw rng draws are checked against sampled coins. Key
+generation's row screen keeps its rows at a common scale and is checked
+against the screen that divides each row by its pivot. The
 formula parser, one token regex and one rule for both precedence levels,
 is checked against the character-loop parser with separate expr and term
 rules: same trees, same errors. The protocol's owner, which encrypts only
@@ -31,7 +30,7 @@ from matfhe import analysis, cipher, protocol
 from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
                            _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
-                           enc8, encryption_diagonal, lock,
+                           enc8, encrypt_value, encryption_diagonal, lock,
                            sample_enc4_randomness, sample_enc8_randomness)
 from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
                              ExprSyntaxError, Ref, eval_expr, parse_expr)
@@ -154,10 +153,22 @@ class TestColumnScaledEncryption:
         rnd = Enc8Randomness(r1=10, r2=20, rows=rows)
         assert enc8(7, key, rnd).body == two_products(7, key, rnd)
 
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_enc8_under_a_non_pair_key_equals_two_products(self, m):
+        key, rng = make_key(m, 8, 64, 50 + m)
+        others = KeyTuple(key.modulus, key.k,
+                          random_invertible(8, key.modulus.n,
+                                            random.Random(m)))
+        assert not others.verify()
+        for _ in range(10):
+            x = rng.randrange(key.modulus.n)
+            rnd = sample_enc8_randomness(x, key.modulus, rng)
+            assert enc8(x, others, rnd).body == two_products(x, others, rnd)
 
-class TestSlotBasisEncryption:
-    """Dim 4 encryption as r * sum(Q_j) + (x - r) * P_c from the key's
-    cached slot projectors Q_j and slot sums P_c."""
+
+class TestDim4Encryption:
+    """Dim 4 encryption through the same fused product as dim 8, for every
+    row choice pattern and under keys whose k and k_inv are not inverses."""
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_every_row_choice_pattern_equals_two_products(self, m):
@@ -174,24 +185,6 @@ class TestSlotBasisEncryption:
                     r = (x + 1 + rng.randrange(n - 1)) % n
                     rnd = Enc4Randomness(r=r, row_choices=choices)
                     assert enc4(x, kt, rnd).body == two_products(x, kt, rnd)
-            assert len(kt.slot_sums) == 3 ** m
-
-    @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_cache_holds_one_sum_per_pattern(self, m):
-        key, rng = make_key(m, 4, 16, 10 + m)
-        seen = set()
-        for _ in range(200):
-            x = rng.randrange(key.modulus.n)
-            rnd = sample_enc4_randomness(x, key.modulus, rng)
-            seen.add(rnd.row_choices)
-            assert dec(enc4(x, key, rnd), key) == x
-        assert set(key.slot_sums) == seen
-        assert len(key.slot_sums) <= 3 ** m
-
-    def test_projector_sum_is_identity_for_a_key_pair(self):
-        key, _ = make_key(2, 4, 256, 3)
-        assert key.projector_sum == ((0, 1), (5, 1), (10, 1), (15, 1))
-        assert key.slot_projectors is key.slot_projectors
 
     def test_equal_keys_give_equal_bodies(self):
         key, rng = make_key(2, 4, 256, 4)
@@ -202,12 +195,20 @@ class TestSlotBasisEncryption:
             rnd = sample_enc4_randomness(x, key.modulus, rng)
             assert enc4(x, key, rnd).body == enc4(x, twin, rnd).body
 
-    def test_wrong_choice_count_is_not_cached(self):
+    def test_wrong_choice_count_is_refused(self):
         key, _ = make_key(2, 4, 16, 5)
         for choices in ((1,), (1, 2, 3)):
             with pytest.raises(ValueError, match="one slot row per factor"):
                 enc4(3, key, Enc4Randomness(r=4, row_choices=choices))
-        assert key.slot_sums == {}
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    def test_encryption_leaves_no_state_on_the_key(self, dim):
+        key, rng = make_key(2, dim, 64, 40 + dim)
+        for _ in range(5):
+            x, _, ct = fresh(key, rng)
+            assert dec(ct, key) == x
+            assert dec(encrypt_value(x, key, rng), key) == x
+        assert sorted(vars(key)) == ["k", "k_inv", "modulus"]
 
 
 def oracle_blind(taken, n, rng):
@@ -270,75 +271,49 @@ class TestRawDraws:
             assert rng.random() == twin.random() == sampled.random()
 
 
-def weighted_slot_sum(key, choices):
-    """P_c as the slot sum was first written: the CRT weights of each slot
-    are gathered first, then each entry is one four-term sum over the
-    projectors, reduced mod n."""
-    modulus = key.modulus
-    weights = [1, 0, 0, 0]
-    for c, e in zip(choices, modulus.crt_basis):
-        weights[c] += e
-    return tuple(sum(w * v for w, v in zip(weights, q)) % modulus.n
-                 for q in zip(*key.slot_projectors))
+class TestRngPath:
+    """enc4 and enc8 given an rng draw their coins raw: the RNG calls of
+    the samplers in their order, and no coin object built."""
 
+    PATHS = {4: (enc4, Enc4Randomness, oracle_enc4_coins),
+             8: (enc8, Enc8Randomness, oracle_enc8_coins)}
 
-class TestRowAddedSlotSums:
-    """cipher._slot_sum adds e_i * Q_{c_i} to Q_0 row by row and reduces
-    once; it must equal the weighted four-term sum for every pattern."""
-
+    @pytest.mark.parametrize("dim", (4, 8))
     @pytest.mark.parametrize("bits", (16, 256))
     @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_every_pattern_equals_the_weighted_sum(self, m, bits):
-        key, _ = make_key(m, 4, bits, 20 + m)
-        n = key.modulus.n
-        wrong = KeyTuple(key.modulus, key.k,
-                         random_invertible(4, n, random.Random(bits + m)))
-        assert key.verify() and not wrong.verify()
-        for kt in (key, wrong):
-            for choices in itertools.product((1, 2, 3), repeat=m):
-                total = cipher._slot_sum(kt, choices)
-                assert total == weighted_slot_sum(kt, choices)
-                assert all(0 <= v < n for v in total)
-                assert kt.slot_sums[choices] is total
-            assert len(kt.slot_sums) == 3 ** m
-
-
-class TestEnc4RngPath:
-    """enc4 given an rng draws (r, row choices) raw: the RNG calls of
-    sample_enc4_randomness in their order, and no coin object built."""
-
-    @pytest.mark.parametrize("bits", (16, 256))
-    @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_body_and_next_draw_equal_sampled_coins(self, m, bits):
-        key, picks = make_key(m, 4, bits, 30 + m)
+    def test_body_and_next_draw_equal_sampled_coins(self, m, bits, dim):
+        enc, _, oracle = self.PATHS[dim]
+        key, picks = make_key(m, dim, bits, 30 + m)
         modulus = key.modulus
         for seed in range(10):
             rng, sampled, frozen = (random.Random(seed) for _ in range(3))
-            for _ in range(20):
+            for _ in range(20 if dim == 4 else 5):
                 x = picks.randrange(modulus.n)
-                body = enc4(x, key, rng).body
-                assert body == enc4(
-                    x, key, sample_enc4_randomness(x, modulus, sampled)).body
-                assert body == enc4(
-                    x, key, oracle_enc4_coins(x, modulus, frozen)).body
+                body = enc(x, key, rng).body
+                assert body == enc(
+                    x, key, SAMPLE[dim](x, modulus, sampled)).body
+                assert body == enc(x, key, oracle(x, modulus, frozen)).body
             assert rng.random() == sampled.random() == frozen.random()
 
-    def test_builds_no_coin_object(self, monkeypatch):
+    @pytest.mark.parametrize("dim", (4, 8))
+    def test_builds_no_coin_object(self, monkeypatch, dim):
+        enc, coins, _ = self.PATHS[dim]
         built = []
-        check = Enc4Randomness.__post_init__
+        check = coins.__post_init__
 
         def counting(self):
             built.append(self)
             check(self)
 
-        monkeypatch.setattr(Enc4Randomness, "__post_init__", counting)
-        key, rng = make_key(2, 4, 16, 7)
+        monkeypatch.setattr(coins, "__post_init__", counting)
+        key, rng = make_key(2, dim, 16, 7)
         for _ in range(50):
             x = rng.randrange(key.modulus.n)
-            assert dec(enc4(x, key, rng), key) == x
+            assert dec(enc(x, key, rng), key) == x
         assert built == []
-        enc4(3, key, Enc4Randomness(r=4, row_choices=(1, 2)))
-        assert len(built) == 1
+        fixed = SAMPLE[dim](3, key.modulus, random.Random(1))
+        enc(3, key, fixed)
+        assert built == [fixed]
 
     def test_raw_blind_goes_through_the_blind_check(self, monkeypatch):
         # The rng path and fixed coins share one check: a drawn blind equal

@@ -167,6 +167,17 @@ class TestRunProtocol:
             run_protocol("x" + digits, table, make_keyset(11), rng)
         assert rng.random() == random.Random(12).random()
 
+    @pytest.mark.parametrize("name, message", [
+        ("x" + "7" * 19, f"input x{'7' * 19} is outside the data table"),
+        ("x" + "7" * 20,
+         "input 'x7777...' (21 characters) is outside the data table"),
+        ("y" + "7" * 19, f"got 'y{'7' * 19}'"),
+        ("y" + "7" * 20, "got 'y7777...' (21 characters)")])
+    def test_refused_name_is_cut_past_20_characters(self, name, message):
+        with pytest.raises(ProtocolError) as info:
+            run_protocol(name, (5,), make_keyset(11), random.Random(12))
+        assert str(info.value).endswith(message)
+
     @pytest.mark.parametrize("formula, table", [
         ("x9", (5,) * 9), ("x10", (5,) * 10), ("x1+x99", (5,) * 99)])
     def test_name_at_the_table_end_runs(self, formula, table):
