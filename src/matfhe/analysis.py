@@ -83,10 +83,11 @@ def kpa_collision_estimate(key, x, trials, rng):
     A slot row holds x once and each blind w times (w = 2 at dim 4, 3 at
     dim 8) and the CRT basis sums to 1, so a diagonal's trace is
     2x + w * sum(blinds) mod N. Equal diagonals have equal traces, so each
-    trial is a raw coin draw screened by its blinds: it builds no coin
-    object unless its blind term matches the target's, and only those
-    about 1 in N trials are folded and compared in full; the hit count
-    stays exact.
+    trial takes raw coins from one lazy stream, shared with the target and
+    holding no per-trial list, and is screened by its blinds: it builds
+    no coin object unless its blind term matches the target's, and only
+    those about 1 in N trials are folded and compared in full; the hit
+    count stays exact.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -96,13 +97,12 @@ def kpa_collision_estimate(key, x, trials, rng):
         raise ParameterError(f"plaintext must lie in [0, {n})")
     draw, coins, w = ((_draw_enc4, Enc4Randomness, 2) if key.dim == 4
                       else (_draw_enc8, Enc8Randomness, 3))
-    m = modulus.m
-    rnd = coins(*draw(x, n, m, rng))
+    stream = draw(itertools.repeat(x, trials + 1), n, modulus.m, rng)
+    rnd = coins(*next(stream))
     screen = w * sum(rnd.blinds) % n
     target = encryption_diagonal(x, modulus, rnd)
     hits = 0
-    for _ in range(trials):
-        drawn = draw(x, n, m, rng)
+    for drawn in stream:
         if (w * sum(drawn[:-1]) % n == screen
                 and encryption_diagonal(x, modulus, coins(*drawn)) == target):
             hits += 1

@@ -5,11 +5,13 @@ slots blend x with one blind (dim 4) or two (dim 8) through per-factor CRT
 choices: the coins give a row of slot values per factor, and the rows fold
 through the CRT basis into the diagonal D. One body checks key, plaintext
 and coins for both dimensions and conjugates D by the key in one fused
-product, k_inv's rows scaled by D times k; given an rng, it draws the coins
-raw and builds no coin object. The key holds no cached state. Decryption
-conjugates back and reads the top-left entry. Conjugation is a ring
-homomorphism, so ciphertext sums and products track plaintext sums and
-products.
+product, k_inv's rows scaled by D times k. Raw coins come from one lazy
+stream per dim, which draws each plaintext's coins only when taken and
+builds no coin object: an encryption given an rng takes one plaintext's,
+the protocol's owner a table's, the collision estimate every trial's. The
+key holds no cached state. Decryption conjugates back and reads the
+top-left entry. Conjugation is a ring homomorphism, so ciphertext sums and
+products track plaintext sums and products.
 """
 
 from dataclasses import dataclass
@@ -84,44 +86,49 @@ class Enc8Randomness:
         return _enc8_rows(x, self.r1, self.r2, self.rows)
 
 
-def _draw_blind(taken, n, rng):
-    """Uniform over Z_n minus taken, redrawing on every hit."""
-    b = rng.randrange(n)
-    while b in taken:
-        b = rng.randrange(n)
-    return b
+def _draw_enc4(xs, n, m, rng):
+    """Raw enc4 coins (r, row_choices) for each x of xs in turn, drawn only
+    when taken and with no coin object built; r is redrawn while it is x."""
+    draw = rng.randrange
+    for x in xs:
+        r = draw(n)
+        while r == x:
+            r = draw(n)
+        yield r, tuple([draw(1, 4) for _ in range(m)])
 
 
-def _draw_enc4(x, n, m, rng):
-    """Raw enc4 coins (r, row_choices), with no coin object built."""
-    return (_draw_blind((x,), n, rng),
-            tuple(rng.randrange(1, 4) for _ in range(m)))
-
-
-def _draw_enc8(x, n, m, rng):
-    """Raw enc8 coins (r1, r2, rows), with no coin object built."""
-    r1 = _draw_blind((x,), n, rng)
-    r2 = _draw_blind((x, r1), n, rng)
-    rows = []
-    for _ in range(m):
-        slots = ["r2"] * 7
-        x_pos = rng.randrange(7)
-        slots[x_pos] = "x"
-        rest = [i for i in range(7) if i != x_pos]
-        for i in rng.sample(rest, 3):
-            slots[i] = "r1"
-        rows.append(tuple(slots))
-    return r1, r2, tuple(rows)
+def _draw_enc8(xs, n, m, rng):
+    """Raw enc8 coins (r1, r2, rows) for each x of xs in turn, drawn only
+    when taken and with no coin object built; r1 is redrawn while it is x,
+    r2 while it is x or r1."""
+    draw, sample = rng.randrange, rng.sample
+    for x in xs:
+        r1 = draw(n)
+        while r1 == x:
+            r1 = draw(n)
+        r2 = draw(n)
+        while r2 == x or r2 == r1:
+            r2 = draw(n)
+        rows = []
+        for _ in range(m):
+            slots = ["r2"] * 7
+            x_pos = draw(7)
+            slots[x_pos] = "x"
+            rest = [i for i in range(7) if i != x_pos]
+            for i in sample(rest, 3):
+                slots[i] = "r1"
+            rows.append(tuple(slots))
+        yield r1, r2, tuple(rows)
 
 
 def sample_enc4_randomness(x, modulus, rng):
     """Uniform enc4 coins: r from Z_n minus {x}, row choices uniform."""
-    return Enc4Randomness(*_draw_enc4(x, modulus.n, modulus.m, rng))
+    return Enc4Randomness(*next(_draw_enc4((x,), modulus.n, modulus.m, rng)))
 
 
 def sample_enc8_randomness(x, modulus, rng):
     """Uniform enc8 coins: distinct blinds, arrangements uniform over 140."""
-    return Enc8Randomness(*_draw_enc8(x, modulus.n, modulus.m, rng))
+    return Enc8Randomness(*next(_draw_enc8((x,), modulus.n, modulus.m, rng)))
 
 
 def _enc4_rows(x, r, choices):
@@ -168,11 +175,11 @@ def _encrypt(x, key, rnd, dim):
         raise ParameterError(f"plaintext must lie in [0, {n})")
     if dim == 4:
         drawn = ((rnd.r, rnd.row_choices) if isinstance(rnd, Enc4Randomness)
-                 else _draw_enc4(x, n, m, rnd))
+                 else next(_draw_enc4((x,), n, m, rnd)))
         rows = _enc4_rows(x, *drawn)
     else:
         drawn = ((rnd.r1, rnd.r2, rnd.rows) if isinstance(rnd, Enc8Randomness)
-                 else _draw_enc8(x, n, m, rnd))
+                 else next(_draw_enc8((x,), n, m, rnd)))
         rows = _enc8_rows(x, *drawn)
     taken = [x]
     for b in drawn[:-1]:
@@ -215,9 +222,9 @@ def dec(ct, key):
     k = key.k
     _check_pair(k, ct.body)
     n, d, c = k.modulus, k.dim, ct.body.entries
-    top = [sum(x * y for x, y in zip(k.entries[:d], c[j::d])) % n
-           for j in range(d)]
-    return sum(x * y for x, y in zip(top, key.k_inv.entries[::d])) % n
+    row = k.entries[:d]
+    top = [sum(map(mul, row, c[j::d])) % n for j in range(d)]
+    return sum(map(mul, top, key.k_inv.entries[::d])) % n
 
 
 def dec_diagonal(ct, key):

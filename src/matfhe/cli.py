@@ -19,7 +19,7 @@ import time
 from . import formats
 from .analysis import (brute_force_cost, invertibility_experiment,
                        kpa_collision_estimate)
-from .cipher import dec, enc4, encrypt_value
+from .cipher import _draw_enc4, dec, enc4, encrypt_value
 from .evaluate import (CipherEnv, ExprSyntaxError, UnboundInputError,
                        eval_expr, parse_expr)
 from .formats import MalformedFileError
@@ -174,6 +174,8 @@ def cmd_bench(args):
     rows = [
         ("keygen", _median_call_time(
             keygen4, (args.m, args.bits, rng), 1, reps)),
+        ("coins", _median_call_time(next, (_draw_enc4(
+            itertools.repeat(x1), n, key.modulus.m, rng),), 50, reps)),
         ("enc", _median_call_time(enc4, (x1, key, rng), 50, reps)),
         ("dec", _median_call_time(dec, (c1, key), 50, reps)),
         ("add", statistics.median(add_times)),

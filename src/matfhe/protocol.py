@@ -164,7 +164,7 @@ def run_protocol(formula, data, keyset, rng):
     n, m = keyset.modulus.n, keyset.modulus.m
     if not all(0 <= x < n for x in data):
         raise ParameterError(f"plaintext must lie in [0, {n})")
-    coins = [_draw_enc4(x, n, m, rng) for x in data]
+    coins = list(_draw_enc4(data, n, m, rng))
     owner = KeyTuple(keyset.modulus, mat_mul(k1.k, k2.k),
                      mat_mul(k2.k_inv, k1.k_inv))
     operands = {}

@@ -3,6 +3,7 @@ test that conjugation invariants allow at dims 4 and 8."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,21 @@ class TestKpaCollision:
         fraction = kpa_collision_estimate(key, 4, 20000, random.Random(12))
         assert fraction < 0.002
         assert round(fraction * 20000) == 3
+
+    def test_memory_stays_flat_in_the_trial_count(self):
+        # Every trial takes its coins from one lazy stream and none is kept:
+        # 200,000 trials peak under 1 MB of allocations, where a list of
+        # their coins alone would take more.
+        key = keygen4(1, 8, rng=random.Random(11), candidates=[3, 7])
+        assert key.modulus.n == 21
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            kpa_collision_estimate(key, 5, 200000, random.Random(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_trials_validated(self, key_a):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ collision estimate folds a trial's diagonal only when its trace matches
 the target's. Each property below pits one of these against the
 straightforward computation it replaces: crt_solve per slot, two full
 matrix products, the full recovered diagonal, and folding every trial.
-Encryption's raw rng draws are checked against sampled coins. Key
+Encryption's raw rng draws, one lazy stream for many plaintexts, are
+checked against coins sampled one plaintext at a time. Key
 generation's row screen keeps its rows at a common scale and is checked
 against the screen that divides each row by its pivot. The
 formula parser, one token regex and one rule for both precedence levels,
@@ -243,8 +244,9 @@ def oracle_enc8_coins(x, modulus, rng):
 
 
 class TestRawDraws:
-    """The raw coin draws make the old samplers' RNG calls in their order,
-    so every seeded output stays as it was."""
+    """One lazy coin stream makes the old samplers' RNG calls in their
+    order, one plaintext's coins at a time, so every seeded output stays as
+    it was."""
 
     MODULI = {
         "N15": generate_coprime_set(1, 8, candidates=(3, 5)),
@@ -258,17 +260,34 @@ class TestRawDraws:
     @pytest.mark.parametrize("dim", (4, 8))
     @pytest.mark.parametrize("name", sorted(MODULI))
     def test_coins_and_next_draw_equal_the_old_sampler(self, name, dim):
+        # At N = 15 and 21 blinds are often redrawn: a draw hits x 1 time
+        # in 15 or 21, and at dim 8 r2 also hits r1 as often.
         modulus = self.MODULI[name]
         draw, coins, oracle = self.DRAWS[dim]
         sample, picks = SAMPLE[dim], random.Random(name)
         for seed in range(20):
             rng, twin, sampled = (random.Random(seed) for _ in range(3))
-            for _ in range(30):
-                x = picks.randrange(modulus.n)
+            xs = [picks.randrange(modulus.n) for _ in range(30)]
+            stream = draw(xs, modulus.n, modulus.m, rng)
+            for x, drawn in zip(xs, stream, strict=True):
                 want = oracle(x, modulus, twin)
-                assert coins(*draw(x, modulus.n, modulus.m, rng)) == want
+                assert coins(*drawn) == want
                 assert sample(x, modulus, sampled) == want
             assert rng.random() == twin.random() == sampled.random()
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    @pytest.mark.parametrize("name", sorted(MODULI))
+    def test_stream_draws_only_what_is_taken(self, name, dim):
+        modulus = self.MODULI[name]
+        draw, coins, oracle = self.DRAWS[dim]
+        picks = random.Random(name)
+        for seed in range(10):
+            rng, twin = random.Random(seed), random.Random(seed)
+            xs = [picks.randrange(modulus.n) for _ in range(10)]
+            stream = draw(xs, modulus.n, modulus.m, rng)
+            assert rng.getstate() == twin.getstate()
+            assert coins(*next(stream)) == oracle(xs[0], modulus, twin)
+            assert rng.getstate() == twin.getstate()
 
 
 class TestRngPath:
@@ -319,8 +338,9 @@ class TestRngPath:
         # The rng path and fixed coins share one check: a drawn blind equal
         # to x is refused like a fixed one.
         key, rng = make_key(2, 4, 16, 8)
-        monkeypatch.setattr(cipher, "_draw_enc4",
-                            lambda x, n, m, rng: (x, (1,) * m))
+        monkeypatch.setattr(
+            cipher, "_draw_enc4",
+            lambda xs, n, m, rng: ((x, (1,) * m) for x in xs))
         with pytest.raises(ValueError, match="distinct blinds"):
             enc4(5, key, rng)
         with pytest.raises(ValueError, match="distinct blinds"):
