@@ -13,7 +13,7 @@ import math
 
 from .cipher import (Enc4Randomness, Enc8Randomness, _draw_enc4, _draw_enc8,
                      dec, enc4, encryption_diagonal)
-from .keys import KeyTuple
+from .keys import KeyTuple, compose
 from .matrix import (Matrix, determinant, diagonal, is_invertible, mat_mul,
                      mat_sub)
 from .ring import ParameterError, mod_inverse
@@ -157,9 +157,7 @@ def lemma7_check(x, key, rnd, i):
             if r != c and y_mat[r, c] != 0:
                 raise AssertionError("conjugated diagonal is not diagonal")
     y = y_mat[0, 0]
-    related = KeyTuple(modulus,
-                       mat_mul(witness, key.k),
-                       mat_mul(key.k_inv, witness))
+    related = compose(KeyTuple(modulus, witness, witness), key)
     ct = enc4(x, key, rnd)
     holds = dec(ct, related) == y
     return y, holds

@@ -236,8 +236,8 @@ def dec_diagonal(ct, key):
 def lock(ct, key):
     """Add a key layer: k_inv * body * k.
 
-    Locking an enc4 output under k2 yields a ciphertext of the composed
-    key k1 * k2.
+    Locking an encryption under k1 with k2 yields an encryption under
+    keys.compose(k1, k2).
     """
     return Ciphertext(mat_mul(mat_mul(key.k_inv, ct.body), key.k))
 

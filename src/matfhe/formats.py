@@ -16,9 +16,10 @@ entry only to name the bad entry.
 
 import os
 import stat
+from functools import reduce
 
 from .cipher import Ciphertext
-from .keys import KEY_DIMS, KeySet, KeyTuple
+from .keys import KEY_DIMS, KeySet, KeyTuple, compose
 from .matrix import Matrix
 from .ring import RingModulus
 
@@ -193,6 +194,9 @@ def parse_keyset(text):
     components = tuple(_read_key_pair(reader, modulus, dim, i)
                        for i in range(1, count + 1))
     reader.finish()
+    if master != reduce(compose, components):
+        raise MalformedFileError(
+            "master key is not the product of the components in file order")
     return KeySet(modulus, components, master)
 
 

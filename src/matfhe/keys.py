@@ -1,6 +1,8 @@
-"""Key material: conjugation key pairs and multiplicative key sets."""
+"""Key material: conjugation key pairs, their products (formed by compose
+alone), and the multiplicative key sets built from them."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .matrix import Matrix, identity, inverse, mat_mul, random_invertible_pair
 from .ring import GenerationError, ParameterError, RingModulus, generate_coprime_set
@@ -68,8 +70,14 @@ class _EntryStream:
 
 
 def key_tuple_from_matrix(modulus, k):
-    """Build a KeyTuple by inverting k. Raises if k is not invertible."""
+    """Pair a bare k with its inverse. Raises if k is not invertible."""
     return KeyTuple(modulus, k, inverse(k))
+
+
+def compose(a, b):
+    """The pair for conjugating by a, then by b: locking an encryption under
+    a with b gives an encryption under it."""
+    return KeyTuple(a.modulus, mat_mul(a.k, b.k), mat_mul(b.k_inv, a.k_inv))
 
 
 def _keygen(dim, m, bits, rng, candidates=None, entries=None):
@@ -94,18 +102,11 @@ def keygen8(m, bits, rng=None, candidates=None, entries=None):
 
 
 def keyset_gen(dim, count, m, bits, rng):
-    """Generate count component keys and their master key.
-
-    The master inverse is computed from the product matrix itself rather
-    than by multiplying component inverses in reverse, so the two routes
-    stay independently checkable.
-    """
+    """Generate count component keys and their master key, the components
+    composed in order."""
     if count < 2:
         raise ParameterError("need at least two component keys")
     modulus = generate_coprime_set(m, bits, rng)
     components = [KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
                   for _ in range(count)]
-    product = components[0].k
-    for kt in components[1:]:
-        product = mat_mul(product, kt.k)
-    return KeySet(modulus, tuple(components), key_tuple_from_matrix(modulus, product))
+    return KeySet(modulus, tuple(components), reduce(compose, components))

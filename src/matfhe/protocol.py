@@ -6,12 +6,12 @@ center evaluates formulas over masked operands, and the data user receives
 the result. Key distribution happens out of band: the owner holds k1 and
 the masking key k2, the mapper holds k3, the user holds the master key
 k1*k2*k3, and the computation center holds nothing. The owner encrypts
-only the requested entries, each straight under k1*k2: the ciphertext that
-locking its k1 encryption under k2 would give. It still draws coins for its
-whole table, so one seed gives one coin stream whatever the formula reads.
-The message types have no key-bearing variant, so a well-typed transcript
-cannot ship key material as anything but a forged ciphertext body; the
-audit checks for exactly that.
+only the requested entries, each straight under compose(k1, k2): the
+ciphertext that locking its k1 encryption under k2 would give. It still
+draws coins for its whole table, so one seed gives one coin stream
+whatever the formula reads. The message types have no key-bearing variant,
+so a well-typed transcript cannot ship key material as anything but a
+forged ciphertext body; the audit checks for exactly that.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,7 @@ from .cipher import Enc4Randomness, _draw_enc4, dec, enc4, lock
 from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
                        format_expr, parse_expr)
 from .formats import entries_text
-from .keys import KeyTuple
-from .matrix import mat_mul
+from .keys import compose
 from .ring import ParameterError
 
 
@@ -157,16 +156,15 @@ def run_protocol(formula, data, keyset, rng):
     messages.append(Message(Role.DELEGATOR, Role.DATA_OWNER,
                             DataRequest(required)))
 
-    # For the same coins c, lock(enc4(x, k1, c), k2) = enc4(x, k1*k2, c), so
-    # the owner encrypts each requested entry once, under the composed pair.
+    # For the same coins c, lock(enc4(x, k1, c), k2) = enc4(x, owner, c) with
+    # owner = compose(k1, k2), so the owner encrypts each requested entry once.
     # It draws coins for its whole table in table order, as encrypting it
     # under k1 did, so a seed's coin stream does not depend on the formula.
     n, m = keyset.modulus.n, keyset.modulus.m
     if not all(0 <= x < n for x in data):
         raise ParameterError(f"plaintext must lie in [0, {n})")
     coins = list(_draw_enc4(data, n, m, rng))
-    owner = KeyTuple(keyset.modulus, mat_mul(k1.k, k2.k),
-                     mat_mul(k2.k_inv, k1.k_inv))
+    owner = compose(k1, k2)
     operands = {}
     for i in required:
         z = enc4(data[i - 1], owner, Enc4Randomness(*coins[i - 1]))

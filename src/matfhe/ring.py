@@ -6,6 +6,7 @@ leans on two facts collected here: inverses exist exactly when gcd is 1,
 and the Chinese remainder fold reassembles a value from its residues.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,11 +48,12 @@ def mod_inverse(a, n):
 def crt_solve(residues):
     """Solve x = r_i (mod n_i) for pairwise coprime moduli n_i.
 
-    residues is a sequence of (r_i, n_i) pairs. Returns the unique solution
+    residues is an iterable of (r_i, n_i) pairs. Returns the unique solution
     in [0, prod n_i). The congruences are folded left to right, so a shared
     factor between the accumulated modulus and the next n_i raises
     NonCoprimeModuliError.
     """
+    residues = list(residues)
     if not residues:
         raise ValueError("need at least one congruence")
     x = 0
@@ -131,12 +133,13 @@ class RingModulus:
 def generate_coprime_set(m, bits, rng=None, candidates=None):
     """Draw 2m pairwise coprime odd numbers and assemble a RingModulus.
 
-    Production draws come from rng as odd numbers of exactly bits/2 bits;
-    compositeness is fine, only coprimality matters. candidates, when given,
-    replaces the random stream and relaxes the bit-length rule so small
-    worked examples stay expressible. The first m accepted values become p,
-    the next m become q. Raises GenerationError after 64*m draws without
-    success.
+    The draws come from one source, read lazily: by default rng's odd
+    numbers of exactly bits/2 bits (compositeness is fine, only coprimality
+    matters). candidates, when given, replaces that source and relaxes the
+    bit-length rule so small worked examples stay expressible; its even
+    values and values below 3 are skipped. The first m accepted values
+    become p, the next m become q. Raises GenerationError when 64*m draws,
+    or fewer candidates, give no modulus.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
@@ -144,20 +147,12 @@ def generate_coprime_set(m, bits, rng=None, candidates=None):
         raise ParameterError("security parameter must be an even number >= 8")
     if candidates is None and rng is None:
         raise ValueError("need an rng when no candidates are injected")
-    half = bits // 2
-    lo = 1 << (half - 1)
-    hi = 1 << half
-    source = iter(candidates) if candidates is not None else None
+    if candidates is None:
+        lo, hi = 1 << (bits // 2 - 1), 1 << (bits // 2)
+        candidates = (rng.randrange(lo, hi) | 1 for _ in itertools.count())
     accepted = []
     budget = 64 * m
-    for _ in range(budget):
-        if source is not None:
-            try:
-                c = next(source)
-            except StopIteration:
-                break
-        else:
-            c = rng.randrange(lo, hi) | 1
+    for c in itertools.islice(candidates, budget):
         if c < 3 or c % 2 == 0:
             continue
         if all(math.gcd(c, a) == 1 for a in accepted):

@@ -27,7 +27,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfhe import analysis, cipher, protocol
+from matfhe import analysis, cipher, keys, protocol
 from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
                            _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
@@ -598,8 +598,11 @@ class TestKeyMatrixPair:
 
         for name in ("_eliminate", "inverse", "is_invertible"):
             monkeypatch.setattr(matrix, name, refuse)
+        monkeypatch.setattr(keys, "inverse", refuse)
         key = keygen8(2, 64, random.Random(3))
         assert key.verify()
+        keyset = keyset_gen(4, 3, 2, 16, random.Random(3))
+        assert keyset.master.verify()
 
 
 def frozen_parse_expr(text):

@@ -18,6 +18,7 @@ from matfhe.cipher import Ciphertext, dec, enc4, enc8
 from matfhe.formats import (
     MalformedFileError,
     _parse_int_list,
+    entries_text,
     matrix_from_text,
     parse_ciphertext,
     parse_key,
@@ -31,6 +32,7 @@ from matfhe.formats import (
     write_key,
 )
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
+from matfhe.matrix import mat_mul
 
 from conftest import FIXTURE_DIR
 from known_answers import CT_A, KA, KA_INV, MOD, N
@@ -457,6 +459,18 @@ def test_malformed_keyset_rejected():
     truncated = "\n".join(text[:-1].split("\n")[:-1]) + "\n"
     with pytest.raises(MalformedFileError, match="unexpected end"):
         parse_keyset(truncated)
+
+
+def test_keyset_with_swapped_components_rejected():
+    keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
+    k1, k2 = keyset.components
+    assert mat_mul(k2.k, k1.k) != keyset.master.k
+    swapped = serialize_keyset(keyset)
+    for i, kt in ((1, k2), (2, k1)):
+        for name, mat in ((f"k{i}=", kt.k), (f"kinv{i}=", kt.k_inv)):
+            swapped = mutate_line(swapped, name, name + entries_text(mat))
+    with pytest.raises(MalformedFileError, match="master key is not the product"):
+        parse_keyset(swapped)
 
 
 def test_malformed_error_is_value_error():

@@ -85,12 +85,14 @@ class TestKeySet:
         assert ks.master.k == mat_mul(mat_mul(k1, k2), k3)
 
     def test_master_inverse_is_reversed_inverse_product(self):
-        # (k1 k2 k3)^-1 = k3^-1 k2^-1 k1^-1; keyset_gen computes the master
-        # inverse from the product matrix, so this is a real cross-check.
+        # (k1 k2 k3)^-1 = k3^-1 k2^-1 k1^-1; keyset_gen composes the
+        # component pairs, so the master inverse is also checked against
+        # the inverse of the product matrix, computed by elimination.
         rng = random.Random(53)
         ks = keyset_gen(4, 3, 2, 16, rng)
         i1, i2, i3 = (kt.k_inv for kt in ks.components)
         assert ks.master.k_inv == mat_mul(mat_mul(i3, i2), i1)
+        assert ks.master.k_inv == inverse(ks.master.k)
 
     def test_component_order_matters(self):
         # Conjugation keys do not commute in general; find a witness pair

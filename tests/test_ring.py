@@ -16,6 +16,45 @@ from matfhe.ring import (GenerationError, NonCoprimeModuliError,
                          generate_coprime_set, mod_inverse)
 
 
+def two_branch_coprime_set(m, bits, rng=None, candidates=None):
+    """generate_coprime_set with one draw loop per source: a next() branch
+    for injected candidates and an rng branch. The oracle for the one-stream
+    loop."""
+    half = bits // 2
+    lo = 1 << (half - 1)
+    hi = 1 << half
+    source = iter(candidates) if candidates is not None else None
+    accepted = []
+    budget = 64 * m
+    for _ in range(budget):
+        if source is not None:
+            try:
+                c = next(source)
+            except StopIteration:
+                break
+        else:
+            c = rng.randrange(lo, hi) | 1
+        if c < 3 or c % 2 == 0:
+            continue
+        if all(math.gcd(c, a) == 1 for a in accepted):
+            accepted.append(c)
+        if len(accepted) == 2 * m:
+            p = tuple(accepted[:m])
+            q = tuple(accepted[m:])
+            f = tuple(a * b for a, b in zip(p, q))
+            return RingModulus(m=m, bits=bits, p=p, q=q, f=f, n=math.prod(f))
+    raise GenerationError(
+        f"could not find {2 * m} pairwise coprime values in {budget} draws")
+
+
+def outcome(gen, *args, **kwargs):
+    """The modulus gen returns, or the message of its GenerationError."""
+    try:
+        return gen(*args, **kwargs)
+    except GenerationError as err:
+        return str(err)
+
+
 class TestModInverse:
     def test_pinned_inverse(self):
         assert mod_inverse(5, 21) == 17
@@ -52,8 +91,13 @@ class TestCrtSolve:
         assert crt_solve([(4, 9)]) == 4
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one congruence"):
             crt_solve([])
+        with pytest.raises(ValueError, match="at least one congruence"):
+            crt_solve(x for x in [])
+
+    def test_iterator_is_read_once(self):
+        assert crt_solve(iter([(5, 21), (16, 55)])) == 236
 
     def test_shared_factor_rejected(self):
         with pytest.raises(NonCoprimeModuliError):
@@ -158,3 +202,41 @@ class TestGenerateCoprimeSet:
             generate_coprime_set(2, 9, rng=random.Random(1))
         with pytest.raises(ValueError):
             generate_coprime_set(2, 16)
+
+
+class TestOneCandidateStream:
+    """The one loop over one lazy source draws exactly as the two-branch
+    loop: same modulus or same refusal, and the source left at the same
+    place."""
+
+    # At lambda=8 the draws are 9, 11, 13 and 15, which hold no four
+    # pairwise coprime values, so (2, 8) always exhausts its budget.
+    @pytest.mark.parametrize("m,bits", [(1, 8), (2, 8), (2, 10), (2, 16),
+                                        (3, 64), (2, 256)])
+    def test_rng_draws_equal_the_two_branch_loop(self, m, bits):
+        for seed in range(200):
+            rng, twin = random.Random(seed), random.Random(seed)
+            got = outcome(generate_coprime_set, m, bits, rng)
+            want = outcome(two_branch_coprime_set, m, bits, twin)
+            assert got == want
+            assert rng.random() == twin.random()
+            if (m, bits) == (2, 8):
+                assert got == ("could not find 4 pairwise coprime values "
+                               "in 128 draws")
+
+    @pytest.mark.parametrize("m,values", [
+        (2, [3, 5, 7, 11, 13]),           # a modulus before the end
+        (1, [1, 2, 4, 3, 9, 6, 5, 7]),    # below 3 and even values skipped
+        (2, [3, 5, 7]),                   # shorter than 2m
+        (2, []),                          # empty
+        (1, [3] * 70 + [5, 7]),           # longer than the budget of 64
+        (2, [3, 9, 27] * 50 + [5, 7, 11]),
+    ])
+    def test_candidates_equal_the_two_branch_loop(self, m, values):
+        for wrap in (list, iter, lambda v: (x for x in v)):
+            source, twin = wrap(values), wrap(values)
+            got = outcome(generate_coprime_set, m, 8, candidates=source)
+            want = outcome(two_branch_coprime_set, m, 8, candidates=twin)
+            assert got == want
+            if wrap is not list:
+                assert list(source) == list(twin)
