@@ -8,10 +8,13 @@ and coins for both dimensions and conjugates D by the key in one fused
 product, k_inv's rows scaled by D times k. Raw coins come from one lazy
 stream per dim, which draws each plaintext's coins only when taken and
 builds no coin object: an encryption given an rng takes one plaintext's,
-the protocol's owner a table's, the collision estimate every trial's. The
-key holds no cached state. Decryption conjugates back and reads the
-top-left entry. Conjugation is a ring homomorphism, so ciphertext sums and
-products track plaintext sums and products.
+the protocol's owner a table's, the collision estimate every trial's. Each
+coin value is drawn as randrange draws it, but inline on getrandbits, so a
+coin rng is a random.Random (getrandbits, and sample at dim 8); key
+generation still calls randrange. The key holds no cached state.
+Decryption conjugates back and reads the top-left entry. Conjugation is a
+ring homomorphism, so ciphertext sums and products track plaintext sums
+and products.
 """
 
 from dataclasses import dataclass
@@ -88,31 +91,42 @@ class Enc8Randomness:
 
 def _draw_enc4(xs, n, m, rng):
     """Raw enc4 coins (r, row_choices) for each x of xs in turn, drawn only
-    when taken and with no coin object built; r is redrawn while it is x."""
-    draw = rng.randrange
+    when taken and with no coin object built. Each value is drawn inline as
+    rng.randrange draws it: a getrandbits word of n's bit length (r, also
+    redrawn while it is x) or of 2 bits (a row choice, minus 1), redrawn
+    while out of range, so the getrandbits calls match call for call."""
+    bits, k = rng.getrandbits, n.bit_length()
     for x in xs:
-        r = draw(n)
-        while r == x:
-            r = draw(n)
-        yield r, tuple([draw(1, 4) for _ in range(m)])
+        r = bits(k)
+        while r >= n or r == x:
+            r = bits(k)
+        choices = []
+        while len(choices) < m:
+            c = bits(2)
+            if c < 3:
+                choices.append(c + 1)
+        yield r, tuple(choices)
 
 
 def _draw_enc8(xs, n, m, rng):
-    """Raw enc8 coins (r1, r2, rows) for each x of xs in turn, drawn only
-    when taken and with no coin object built; r1 is redrawn while it is x,
-    r2 while it is x or r1."""
-    draw, sample = rng.randrange, rng.sample
+    """Raw enc8 coins (r1, r2, rows) for each x of xs in turn, drawn as
+    _draw_enc4 draws them: r1 is redrawn while out of range or x, r2 while
+    out of range, x or r1. A row's x slot is a 3-bit word redrawn while it
+    is 7, as randrange(7) draws it; its r1 slots are rng.sample(rest, 3)."""
+    bits, sample, k = rng.getrandbits, rng.sample, n.bit_length()
     for x in xs:
-        r1 = draw(n)
-        while r1 == x:
-            r1 = draw(n)
-        r2 = draw(n)
-        while r2 == x or r2 == r1:
-            r2 = draw(n)
+        r1 = bits(k)
+        while r1 >= n or r1 == x:
+            r1 = bits(k)
+        r2 = bits(k)
+        while r2 >= n or r2 == x or r2 == r1:
+            r2 = bits(k)
         rows = []
         for _ in range(m):
             slots = ["r2"] * 7
-            x_pos = draw(7)
+            x_pos = bits(3)
+            while x_pos == 7:
+                x_pos = bits(3)
             slots[x_pos] = "x"
             rest = [i for i in range(7) if i != x_pos]
             for i in sample(rest, 3):

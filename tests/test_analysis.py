@@ -111,10 +111,12 @@ class TestBruteForceCost:
 
 
 class _ConstantRng:
-    """Always returns the same coins: determinized encryption."""
+    """Always returns the same coins: determinized encryption. Coins are
+    drawn from getrandbits, and 2 is in range for every bound drawn: the
+    blind r = 2 (not the plaintext 257) and row choice 3."""
 
-    def randrange(self, *args):
-        return 2 if len(args) > 1 else 5
+    def getrandbits(self, k):
+        return 2
 
 
 class TestKpaCollision:

@@ -244,13 +244,19 @@ def oracle_enc8_coins(x, modulus, rng):
 
 
 class TestRawDraws:
-    """One lazy coin stream makes the old samplers' RNG calls in their
-    order, one plaintext's coins at a time, so every seeded output stays as
-    it was."""
+    """One lazy coin stream makes the getrandbits calls of the old
+    samplers' randrange calls, in their order, one plaintext's coins at a
+    time, so every seeded output stays as it was."""
 
+    # Blinds are k-bit words redrawn while >= N: about 49% of 7-bit words
+    # at N = 65, 1 in 64 6-bit words at N = 63, and 44% of 11-bit words
+    # at N = 1155, the collision estimate's reference modulus.
     MODULI = {
         "N15": generate_coprime_set(1, 8, candidates=(3, 5)),
         "N21": generate_coprime_set(1, 8, candidates=(3, 7)),
+        "N63": generate_coprime_set(1, 8, candidates=(7, 9)),
+        "N65": generate_coprime_set(1, 8, candidates=(5, 13)),
+        "N1155": generate_coprime_set(2, 8, candidates=(3, 5, 7, 11)),
         **{f"l256-m{m}": generate_coprime_set(m, 256, random.Random(m))
            for m in (1, 2, 3)},
     }
@@ -273,6 +279,7 @@ class TestRawDraws:
                 want = oracle(x, modulus, twin)
                 assert coins(*drawn) == want
                 assert sample(x, modulus, sampled) == want
+            assert rng.getstate() == twin.getstate() == sampled.getstate()
             assert rng.random() == twin.random() == sampled.random()
 
     @pytest.mark.parametrize("dim", (4, 8))
@@ -288,6 +295,40 @@ class TestRawDraws:
             assert rng.getstate() == twin.getstate()
             assert coins(*next(stream)) == oracle(xs[0], modulus, twin)
             assert rng.getstate() == twin.getstate()
+            assert rng.random() == twin.random()
+
+    def test_coins_make_no_randrange_call(self, monkeypatch):
+        # The streams draw on getrandbits as randrange would: with
+        # randrange refused, the streams and enc4 and enc8 given an rng
+        # still give the oracle's coins, and the collision estimate runs.
+        modulus = self.MODULI["N1155"]
+        picks = random.Random(0)
+        xs = [picks.randrange(modulus.n) for _ in range(50)]
+        encs = {4: enc4, 8: enc8}
+        want, bodies = {}, {}
+        for dim, (_, _, oracle) in self.DRAWS.items():
+            twin, frozen = random.Random(dim), random.Random(dim)
+            want[dim] = [oracle(x, modulus, twin) for x in xs]
+            key, _ = make_key(2, dim, 16, 50 + dim)
+            bodies[dim] = key, [
+                encs[dim](x, key, oracle(x, key.modulus, frozen)).body
+                for x in xs[:10]]
+        kpa_key = KeyTuple(MOD, KA, KA_INV)
+        estimate = kpa_collision_estimate(kpa_key, 257, 3000, random.Random(1))
+
+        def refused(self, *args):
+            raise AssertionError("coins drew on randrange")
+
+        monkeypatch.setattr(random.Random, "randrange", refused)
+        for dim, (draw, coins, _) in self.DRAWS.items():
+            stream = draw(xs, modulus.n, modulus.m, random.Random(dim))
+            assert [coins(*drawn) for drawn in stream] == want[dim]
+            key, want_bodies = bodies[dim]
+            rng = random.Random(dim)
+            assert [encs[dim](x, key, rng).body
+                    for x in xs[:10]] == want_bodies
+        assert kpa_collision_estimate(
+            kpa_key, 257, 3000, random.Random(1)) == estimate
 
 
 class TestRngPath:
