@@ -17,18 +17,15 @@ ring homomorphism, so ciphertext sums and products track plaintext sums
 and products.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .matrix import Matrix, _check_pair, mat_mul
-from .ring import ParameterError
+from .ring import ParameterError, _Record
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(_Record, namedtuple("Ciphertext", "body")):
     """A dim x dim matrix over Z_N. Carries no other metadata."""
-
-    body: Matrix
 
     @property
     def dim(self):
@@ -39,16 +36,17 @@ class Ciphertext:
         return self.body.modulus
 
 
-@dataclass(frozen=True)
-class Enc4Randomness:
+class Enc4Randomness(_Record, namedtuple("Enc4Randomness", "r row_choices")):
     """Coins for enc4: one blind r and one base-row choice per factor.
 
     Row choice j (1-based) for factor f_i selects the row of
     [[x, r, r], [r, x, r], [r, r, x]] with x in position j.
     """
 
-    r: int
-    row_choices: tuple
+    def __new__(cls, r, row_choices):
+        self = tuple.__new__(cls, (r, row_choices))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if any(c not in (1, 2, 3) for c in self.row_choices):
@@ -62,17 +60,17 @@ class Enc4Randomness:
         return _enc4_rows(x, self.r, self.row_choices)
 
 
-@dataclass(frozen=True)
-class Enc8Randomness:
+class Enc8Randomness(_Record, namedtuple("Enc8Randomness", "r1 r2 rows")):
     """Coins for enc8: blinds r1, r2 and one 7-slot arrangement per factor.
 
     Each arrangement is a tuple over {"x", "r1", "r2"} placing x once and
     each blind three times (140 distinct arrangements).
     """
 
-    r1: int
-    r2: int
-    rows: tuple
+    def __new__(cls, r1, r2, rows):
+        self = tuple.__new__(cls, (r1, r2, rows))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for row in self.rows:

@@ -12,7 +12,6 @@ import collections
 import functools
 import itertools
 import random
-import statistics
 import sys
 import time
 
@@ -145,12 +144,10 @@ def _one_batch(fn, fn_args, calls):
     return (end - start) / calls
 
 
-def _median_call_time(fn, fn_args, calls, reps):
-    return statistics.median(_one_batch(fn, fn_args, calls)
-                             for _ in range(reps))
-
-
 def cmd_bench(args):
+    # Imported here, its only use, so no other command's process loads
+    # statistics with the fractions and decimal modules it imports.
+    from statistics import median
     if args.reps < 1:
         raise ParameterError("--reps must be >= 1")
     rng = random.Random(args.seed)
@@ -162,6 +159,10 @@ def cmd_bench(args):
     c2 = enc4(x2, key, rng)
     a_body, b_body = c1.body, c2.body
     reps = args.reps
+
+    def median_call_time(fn, fn_args, calls):
+        return median(_one_batch(fn, fn_args, calls) for _ in range(reps))
+
     # add and mul are timed on the ciphertext matrices themselves (the
     # homomorphic wrappers add identical constant overhead to both sides)
     # and their batches alternate so a host frequency shift mid-run lands
@@ -172,14 +173,13 @@ def cmd_bench(args):
         add_times.append(_one_batch(mat_add, (a_body, b_body), 3000))
         mul_times.append(_one_batch(mat_mul, (a_body, b_body), 700))
     rows = [
-        ("keygen", _median_call_time(
-            keygen4, (args.m, args.bits, rng), 1, reps)),
-        ("coins", _median_call_time(next, (_draw_enc4(
-            itertools.repeat(x1), n, key.modulus.m, rng),), 50, reps)),
-        ("enc", _median_call_time(enc4, (x1, key, rng), 50, reps)),
-        ("dec", _median_call_time(dec, (c1, key), 50, reps)),
-        ("add", statistics.median(add_times)),
-        ("mul", statistics.median(mul_times)),
+        ("keygen", median_call_time(keygen4, (args.m, args.bits, rng), 1)),
+        ("coins", median_call_time(next, (_draw_enc4(
+            itertools.repeat(x1), n, key.modulus.m, rng),), 50)),
+        ("enc", median_call_time(enc4, (x1, key, rng), 50)),
+        ("dec", median_call_time(dec, (c1, key), 50)),
+        ("add", median(add_times)),
+        ("mul", median(mul_times)),
     ]
     print("operation\tmedian_us")
     for name, seconds in rows:

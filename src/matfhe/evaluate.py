@@ -3,32 +3,29 @@
 Evaluation needs no key for +, -, *: the operations are plain matrix
 arithmetic on ciphertext bodies. Constants are the one exception; they are
 encrypted with fresh coins at evaluation time, so an environment used with
-constant-bearing formulas must carry a key and an rng.
+constant-bearing formulas must carry a key and an rng. The formula nodes
+Const, Ref and BinOp are immutable named tuples that compare by type: a
+node equals only a node of its own type with equal fields.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cipher import Ciphertext, encrypt_value
 from .matrix import inverse, mat_add, mat_mul, mat_sub
-from .ring import NotInvertibleError
+from .ring import NotInvertibleError, _Record
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(_Record, namedtuple("Const", "value")):
+    pass
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(_Record, namedtuple("Ref", "name")):
+    pass
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(_Record, namedtuple("BinOp", "op left right")):
+    pass
 
 
 class ExprSyntaxError(ValueError):
@@ -189,14 +186,14 @@ def format_expr(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-@dataclass
 class CipherEnv:
     """Evaluation context: named ciphertexts, plus key and rng so literal
     constants can be encrypted on the fly."""
 
-    bindings: dict = field(default_factory=dict)
-    key: object = None
-    rng: object = None
+    def __init__(self, bindings=None, key=None, rng=None):
+        self.bindings = {} if bindings is None else bindings
+        self.key = key
+        self.rng = rng
 
 
 _OPS = {"+": he_add, "-": he_sub, "*": he_mul, "/": he_div}

@@ -1,22 +1,22 @@
 """Key material: conjugation key pairs, their products (formed by compose
 alone), and the multiplicative key sets built from them."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
-from .matrix import Matrix, identity, inverse, mat_mul, random_invertible_pair
-from .ring import GenerationError, ParameterError, RingModulus, generate_coprime_set
+from .matrix import identity, inverse, mat_mul, random_invertible_pair
+from .ring import GenerationError, ParameterError, _Record, generate_coprime_set
 
 KEY_DIMS = (4, 8)
 
 
-@dataclass(frozen=True)
-class KeyTuple:
+class KeyTuple(_Record, namedtuple("KeyTuple", "modulus k k_inv")):
     """Secret key: the modulus with its factors, plus k and its inverse."""
 
-    modulus: RingModulus
-    k: Matrix
-    k_inv: Matrix
+    def __new__(cls, modulus, k, k_inv):
+        self = tuple.__new__(cls, (modulus, k, k_inv))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.k.dim not in KEY_DIMS:
@@ -35,17 +35,17 @@ class KeyTuple:
         return mat_mul(self.k, self.k_inv) == identity(self.k.dim, self.k.modulus)
 
 
-@dataclass(frozen=True)
-class KeySet:
+class KeySet(_Record, namedtuple("KeySet", "modulus components master")):
     """Component keys plus the master key for a re-keying chain.
 
     The master matrix is the ordered product of the component matrices,
     components[0].k * components[1].k * ... in that order.
     """
 
-    modulus: RingModulus
-    components: tuple
-    master: KeyTuple
+    def __new__(cls, modulus, components, master):
+        self = tuple.__new__(cls, (modulus, components, master))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if len(self.components) < 2:

@@ -11,10 +11,12 @@ ciphertext that locking its k1 encryption under k2 would give. It still
 draws coins for its whole table, so one seed gives one coin stream
 whatever the formula reads. The message types have no key-bearing variant,
 so a well-typed transcript cannot ship key material as anything but a
-forged ciphertext body; the audit checks for exactly that.
+forged ciphertext body; the audit checks for exactly that. The messages
+are immutable named tuples that compare by type, so an EvalResult never
+equals a MappedResult or a plain tuple holding the same ciphertext.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .cipher import Enc4Randomness, _draw_enc4, dec, enc4, lock
@@ -22,7 +24,7 @@ from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
                        format_expr, parse_expr)
 from .formats import entries_text
 from .keys import compose
-from .ring import ParameterError
+from .ring import ParameterError, _Record
 
 
 class Role(Enum):
@@ -33,43 +35,32 @@ class Role(Enum):
     DATA_USER = "data_user"
 
 
-@dataclass(frozen=True)
-class DataRequest:
-    indices: tuple
+class DataRequest(_Record, namedtuple("DataRequest", "indices")):
+    pass
 
 
-@dataclass(frozen=True)
-class FormulaAnnouncement:
-    formula: object
+class FormulaAnnouncement(_Record, namedtuple("FormulaAnnouncement", "formula")):
+    pass
 
 
-@dataclass(frozen=True)
-class MaskedOperand:
-    index: int
-    ciphertext: object
+class MaskedOperand(_Record, namedtuple("MaskedOperand", "index ciphertext")):
+    pass
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    ciphertext: object
+class EvalResult(_Record, namedtuple("EvalResult", "ciphertext")):
+    pass
 
 
-@dataclass(frozen=True)
-class MappedResult:
-    ciphertext: object
+class MappedResult(_Record, namedtuple("MappedResult", "ciphertext")):
+    pass
 
 
-@dataclass(frozen=True)
-class Message:
-    sender: Role
-    recipient: Role
-    payload: object
+class Message(_Record, namedtuple("Message", "sender recipient payload")):
+    pass
 
 
-@dataclass(frozen=True)
-class Transcript:
-    messages: tuple
-    result: int
+class Transcript(_Record, namedtuple("Transcript", "messages result")):
+    pass
 
 
 class ProtocolError(RuntimeError):

@@ -8,8 +8,30 @@ and the Chinese remainder fold reassembles a value from its residues.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+
+
+class _Record:
+    """Mixin for the package's named-tuple records: equal only to a record
+    of its own type, hashed as its field tuple, closed to assignment. A
+    record with checks runs its __post_init__ from __new__, and _make (so
+    _replace) builds through the class, so no record skips them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # Never a plain tuple or another record type with equal fields.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class NotInvertibleError(ValueError):
@@ -72,8 +94,7 @@ def crt_solve(residues):
     return x
 
 
-@dataclass(frozen=True)
-class RingModulus:
+class RingModulus(_Record, namedtuple("RingModulus", "m bits p q f n")):
     """Modulus n with its secret factors f_1..f_m.
 
     f_i = p_i * q_i for 2m odd values, pairwise coprime across the union.
@@ -85,12 +106,10 @@ class RingModulus:
     injected test values may be smaller).
     """
 
-    m: int
-    bits: int
-    p: tuple
-    q: tuple
-    f: tuple
-    n: int
+    def __new__(cls, m, bits, p, q, f, n):
+        self = tuple.__new__(cls, (m, bits, p, q, f, n))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.m < 1:
