@@ -82,12 +82,14 @@ def kpa_collision_estimate(key, x, trials, rng):
     ciphertexts under one key are equal exactly when their diagonals are.
     A slot row holds x once and each blind w times (w = 2 at dim 4, 3 at
     dim 8) and the CRT basis sums to 1, so a diagonal's trace is
-    2x + w * sum(blinds) mod N. Equal diagonals have equal traces, so each
+    2x + w * sum(blinds) mod N, and equal diagonals have equal traces. Each
     trial takes raw coins from one lazy stream, shared with the target and
-    holding no per-trial list, and is screened by its blinds: it builds
-    no coin object unless its blind term matches the target's, and only
-    those about 1 in N trials are folded and compared in full; the hit
-    count stays exact.
+    holding no per-trial list, unpacks them and is screened without a coin
+    object. At dim 4 the screen is the blind: N is odd, so 2 is a unit and
+    2x + 2r = 2x + 2r0 mod N only when r == r0. At dim 8 it is the trace
+    term 3(r1 + r2) mod N, as 3 may divide N. Only the trials that pass,
+    about 1 in N, are folded and compared in full; the hit count stays
+    exact.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -95,18 +97,20 @@ def kpa_collision_estimate(key, x, trials, rng):
     n = modulus.n
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
-    draw, coins, w = ((_draw_enc4, Enc4Randomness, 2) if key.dim == 4
-                      else (_draw_enc8, Enc8Randomness, 3))
+    draw, coins = ((_draw_enc4, Enc4Randomness) if key.dim == 4
+                   else (_draw_enc8, Enc8Randomness))
     stream = draw(itertools.repeat(x, trials + 1), n, modulus.m, rng)
     rnd = coins(*next(stream))
-    screen = w * sum(rnd.blinds) % n
     target = encryption_diagonal(x, modulus, rnd)
-    hits = 0
-    for drawn in stream:
-        if (w * sum(drawn[:-1]) % n == screen
-                and encryption_diagonal(x, modulus, coins(*drawn)) == target):
-            hits += 1
-    return hits / trials
+    if key.dim == 4:
+        r0 = rnd.r
+        passed = (coins(r, c) for r, c in stream if r == r0)
+    else:
+        screen = 3 * (rnd.r1 + rnd.r2) % n
+        passed = (coins(r1, r2, rows) for r1, r2, rows in stream
+                  if 3 * (r1 + r2) % n == screen)
+    return sum(encryption_diagonal(x, modulus, c) == target
+               for c in passed) / trials
 
 
 _DOUBLE_SWAP = ((0, 1, 0, 0),

@@ -180,6 +180,8 @@ def cmd_bench(args):
         ("dec", median_call_time(dec, (c1, key), 50)),
         ("add", median(add_times)),
         ("mul", median(mul_times)),
+        ("trial", median_call_time(kpa_collision_estimate,
+                                   (key, x1, 1000, rng), 1) / 1000),
     ]
     print("operation\tmedian_us")
     for name, seconds in rows:

@@ -162,16 +162,22 @@ class TestKpaCollision:
         assert fraction < 0.002
         assert round(fraction * 20000) == 3
 
-    def test_memory_stays_flat_in_the_trial_count(self):
-        # Every trial takes its coins from one lazy stream and none is kept:
-        # 200,000 trials peak under 1 MB of allocations, where a list of
-        # their coins alone would take more.
-        key = keygen4(1, 8, rng=random.Random(11), candidates=[3, 7])
-        assert key.modulus.n == 21
+    @pytest.mark.parametrize("keygen, candidates, n, x, trials", [
+        (keygen4, (3, 7), 21, 5, 200000),
+        (keygen8, (3, 5), 15, 4, 20000),
+    ], ids=["dim4", "dim8"])
+    def test_memory_stays_flat_in_the_trial_count(self, keygen, candidates,
+                                                  n, x, trials):
+        # Every trial takes its coins from one lazy stream and none is kept,
+        # at each dim's screen: the trials peak under 1 MB of allocations,
+        # where a list of their coins alone would take more (about 4 MB for
+        # 20,000 dim 8 coins, whose traced draws cost 10x dim 4's).
+        key = keygen(1, 8, random.Random(11), candidates=candidates)
+        assert key.modulus.n == n
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            kpa_collision_estimate(key, 5, 200000, random.Random(12))
+            kpa_collision_estimate(key, x, trials, random.Random(12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

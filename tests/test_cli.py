@@ -429,7 +429,8 @@ def test_bench_output_shape():
     lines = r.stdout.splitlines()
     assert lines[0] == "operation\tmedian_us"
     rows = dict(line.split("\t") for line in lines[1:])
-    assert list(rows) == ["keygen", "coins", "enc", "dec", "add", "mul"]
+    assert list(rows) == ["keygen", "coins", "enc", "dec", "add", "mul",
+                          "trial"]
     times = {name: float(value) for name, value in rows.items()}
     assert all(value > 0 for value in times.values())
     assert times["add"] < times["mul"]

@@ -407,7 +407,8 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 class TestTraceScreen:
     """kpa_collision_estimate rejects a trial by the trace 2x + w * sum(blinds)
-    (w = 2 at dim 4, 3 at dim 8) and folds only the trials that pass."""
+    (w = 2 at dim 4, 3 at dim 8), at dim 4 by the blind alone, which is the
+    same test since N is odd, and folds only the trials that pass."""
 
     KEYS = {
         "dim4-N21": (keygen4(1, 8, random.Random(11), candidates=[3, 7]),
@@ -499,6 +500,27 @@ class TestTraceScreen:
             rnd = sample_enc8_randomness(x, modulus, rng)
             trace = 2 * x + 3 * (rnd.r1 + rnd.r2)
         assert sum(encryption_diagonal(x, modulus, rnd)) % n == trace % n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3),
+           st.permutations(SMALL_PRIMES),
+           st.integers(min_value=0, max_value=2**32))
+    def test_dim4_screen_is_the_blind(self, m, primes, seed):
+        # N is odd, so 2 is a unit mod N and two dim 4 traces 2x + 2r agree
+        # exactly when the blinds do. Checked on the target's blind r0, on
+        # fresh draws, and on the blinds nearest r0 + N/2, where an even N
+        # would let 2r and 2r0 meet.
+        modulus = generate_coprime_set(m, 8, candidates=primes)
+        n = modulus.n
+        assert n % 2 == 1
+        rng = random.Random(seed)
+        x = rng.randrange(n)
+        draws = [r for r, _ in itertools.islice(
+            _draw_enc4(itertools.repeat(x), n, m, rng), 20)]
+        r0 = draws[0]
+        for r in draws + [(r0 + n // 2) % n, (r0 + n // 2 + 1) % n]:
+            same = (2 * x + 2 * r) % n == (2 * x + 2 * r0) % n
+            assert same == (r == r0)
 
 
 class TestTopLeftDecryption:
