@@ -9,10 +9,9 @@ removing conjugation layers, which is what the four-party delegation
 protocol in matfhe.protocol builds on.
 """
 
-from .cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
-                     dec_diagonal, enc4, enc8, encrypt_value,
-                     encryption_diagonal, lock, sample_enc4_randomness,
-                     sample_enc8_randomness, unlock)
+from .cipher import (Ciphertext, dec, dec_diagonal, enc4, enc8,
+                     encrypt_value, encryption_diagonal, lock,
+                     sample_enc4_randomness, sample_enc8_randomness, unlock)
 from .evaluate import (BinOp, CipherEnv, Const, DivisorNotInvertibleError,
                        ExprSyntaxError, Ref, UnboundInputError, eval_expr,
                        format_expr, he_add, he_div, he_mul, he_sub,

@@ -11,8 +11,7 @@ every ciphertext of either dimension (plaintext_candidates).
 import itertools
 import math
 
-from .cipher import (Enc4Randomness, Enc8Randomness, _draw_enc4, _draw_enc8,
-                     dec, enc4, encryption_diagonal)
+from .cipher import _draw_enc4, _draw_enc8, dec, enc4, encryption_diagonal
 from .keys import KeyTuple, compose
 from .matrix import (Matrix, determinant, diagonal, is_invertible, mat_mul,
                      mat_sub)
@@ -83,9 +82,9 @@ def kpa_collision_estimate(key, x, trials, rng):
     A slot row holds x once and each blind w times (w = 2 at dim 4, 3 at
     dim 8) and the CRT basis sums to 1, so a diagonal's trace is
     2x + w * sum(blinds) mod N, and equal diagonals have equal traces. Each
-    trial takes raw coins from one lazy stream, shared with the target and
-    holding no per-trial list, unpacks them and is screened without a coin
-    object. At dim 4 the screen is the blind: N is odd, so 2 is a unit and
+    trial takes its coin tuple from one lazy stream, shared with the target
+    and holding no per-trial list, and is screened on its blinds alone. At
+    dim 4 the screen is the blind: N is odd, so 2 is a unit and
     2x + 2r = 2x + 2r0 mod N only when r == r0. At dim 8 it is the trace
     term 3(r1 + r2) mod N, as 3 may divide N. Only the trials that pass,
     about 1 in N, are folded and compared in full; the hit count stays
@@ -97,18 +96,16 @@ def kpa_collision_estimate(key, x, trials, rng):
     n = modulus.n
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
-    draw, coins = ((_draw_enc4, Enc4Randomness) if key.dim == 4
-                   else (_draw_enc8, Enc8Randomness))
+    draw = _draw_enc4 if key.dim == 4 else _draw_enc8
     stream = draw(itertools.repeat(x, trials + 1), n, modulus.m, rng)
-    rnd = coins(*next(stream))
-    target = encryption_diagonal(x, modulus, rnd)
+    first = next(stream)
+    target = encryption_diagonal(x, modulus, first)
     if key.dim == 4:
-        r0 = rnd.r
-        passed = (coins(r, c) for r, c in stream if r == r0)
+        r0 = first[0]
+        passed = (c for c in stream if c[0] == r0)
     else:
-        screen = 3 * (rnd.r1 + rnd.r2) % n
-        passed = (coins(r1, r2, rows) for r1, r2, rows in stream
-                  if 3 * (r1 + r2) % n == screen)
+        screen = 3 * (first[0] + first[1]) % n
+        passed = (c for c in stream if 3 * (c[0] + c[1]) % n == screen)
     return sum(encryption_diagonal(x, modulus, c) == target
                for c in passed) / trials
 
@@ -144,16 +141,18 @@ def lemma7_check(x, key, rnd, i):
     """Related-key equality: the ciphertext of x under k is also a valid
     ciphertext of some y under k_i * k.
 
-    rnd must be a fixed Enc4Randomness so the two sides see the same coins.
-    Builds the encryption diagonal D, conjugates it by the witness (its own
-    inverse) into Y = k_i * D * k_i, checks Y is diagonal, and returns
-    (y, holds) where y = Y[0][0] and holds says whether enc4(x, key, rnd)
-    decrypts to y under the related key.
+    rnd must be fixed enc4 coins (r, row_choices) so the two sides see the
+    same coins; enc4 checks them. Builds the encryption diagonal D,
+    conjugates it by the witness (its own inverse) into Y = k_i * D * k_i,
+    checks Y is diagonal, and returns (y, holds) where y = Y[0][0] and
+    holds says whether enc4(x, key, rnd) decrypts to y under the related
+    key.
     """
-    if not isinstance(rnd, Enc4Randomness):
-        raise TypeError("rnd must be a fixed Enc4Randomness")
+    if not (isinstance(rnd, tuple) and len(rnd) == 2):
+        raise TypeError("rnd must be fixed enc4 coins (r, row_choices)")
     modulus = key.modulus
     witness = lemma6_witness(i, modulus)
+    ct = enc4(x, key, rnd)
     diag = diagonal(encryption_diagonal(x, modulus, rnd), modulus.n)
     y_mat = mat_mul(mat_mul(witness, diag), witness)
     for r in range(4):
@@ -162,7 +161,6 @@ def lemma7_check(x, key, rnd, i):
                 raise AssertionError("conjugated diagonal is not diagonal")
     y = y_mat[0, 0]
     related = compose(KeyTuple(modulus, witness, witness), key)
-    ct = enc4(x, key, rnd)
     holds = dec(ct, related) == y
     return y, holds
 

@@ -2,19 +2,19 @@
 
 A plaintext x sits in the top-left slot of a diagonal matrix whose other
 slots blend x with one blind (dim 4) or two (dim 8) through per-factor CRT
-choices: the coins give a row of slot values per factor, and the rows fold
-through the CRT basis into the diagonal D. One body checks key, plaintext
-and coins for both dimensions and conjugates D by the key in one fused
-product, k_inv's rows scaled by D times k. Raw coins come from one lazy
-stream per dim, which draws each plaintext's coins only when taken and
-builds no coin object: an encryption given an rng takes one plaintext's,
-the protocol's owner a table's, the collision estimate every trial's. Each
-coin value is drawn as randrange draws it, but inline on getrandbits, so a
-coin rng is a random.Random (getrandbits, and sample at dim 8); key
-generation still calls randrange. The key holds no cached state.
-Decryption conjugates back and reads the top-left entry. Conjugation is a
-ring homomorphism, so ciphertext sums and products track plaintext sums
-and products.
+choices. Coins are one plain tuple, (r, row_choices) at dim 4 and
+(r1, r2, rows) at dim 8: they give a row of slot values per factor, and the
+rows fold through the CRT basis into the diagonal D. One body checks key,
+plaintext and coins for both dimensions and conjugates D by the key in one
+fused product, k_inv's rows scaled by D times k. Drawn coins come from one
+lazy stream per dim, which draws each plaintext's coins only when taken:
+an encryption given an rng takes one plaintext's, the protocol's owner a
+table's, the collision estimate every trial's. Each coin value is drawn
+as randrange draws it, but inline on getrandbits, so a coin rng is a
+random.Random (getrandbits, and sample at dim 8); key generation still
+calls randrange. The key holds no cached state. Decryption conjugates back
+and reads the top-left entry. Conjugation is a ring homomorphism, so
+ciphertext sums and products track plaintext sums and products.
 """
 
 from collections import namedtuple
@@ -36,63 +36,12 @@ class Ciphertext(_Record, namedtuple("Ciphertext", "body")):
         return self.body.modulus
 
 
-class Enc4Randomness(_Record, namedtuple("Enc4Randomness", "r row_choices")):
-    """Coins for enc4: one blind r and one base-row choice per factor.
-
-    Row choice j (1-based) for factor f_i selects the row of
-    [[x, r, r], [r, x, r], [r, r, x]] with x in position j.
-    """
-
-    def __new__(cls, r, row_choices):
-        self = tuple.__new__(cls, (r, row_choices))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if any(c not in (1, 2, 3) for c in self.row_choices):
-            raise ValueError("row choices must be 1, 2, or 3")
-
-    @property
-    def blinds(self):
-        return (self.r,)
-
-    def slot_rows(self, x):
-        return _enc4_rows(x, self.r, self.row_choices)
-
-
-class Enc8Randomness(_Record, namedtuple("Enc8Randomness", "r1 r2 rows")):
-    """Coins for enc8: blinds r1, r2 and one 7-slot arrangement per factor.
-
-    Each arrangement is a tuple over {"x", "r1", "r2"} placing x once and
-    each blind three times (140 distinct arrangements).
-    """
-
-    def __new__(cls, r1, r2, rows):
-        self = tuple.__new__(cls, (r1, r2, rows))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != 7 or sorted(row) != ["r1", "r1", "r1",
-                                                "r2", "r2", "r2", "x"]:
-                raise ValueError(
-                    "each row must arrange x once and r1, r2 three times each")
-
-    @property
-    def blinds(self):
-        return (self.r1, self.r2)
-
-    def slot_rows(self, x):
-        return _enc8_rows(x, self.r1, self.r2, self.rows)
-
-
 def _draw_enc4(xs, n, m, rng):
-    """Raw enc4 coins (r, row_choices) for each x of xs in turn, drawn only
-    when taken and with no coin object built. Each value is drawn inline as
-    rng.randrange draws it: a getrandbits word of n's bit length (r, also
-    redrawn while it is x) or of 2 bits (a row choice, minus 1), redrawn
-    while out of range, so the getrandbits calls match call for call."""
+    """Enc4 coins (r, row_choices) for each x of xs in turn, drawn only
+    when taken. Each value is drawn inline as rng.randrange draws it: a
+    getrandbits word of n's bit length (r, also redrawn while it is x) or
+    of 2 bits (a row choice, minus 1), redrawn while out of range, so the
+    getrandbits calls match call for call."""
     bits, k = rng.getrandbits, n.bit_length()
     for x in xs:
         r = bits(k)
@@ -107,7 +56,7 @@ def _draw_enc4(xs, n, m, rng):
 
 
 def _draw_enc8(xs, n, m, rng):
-    """Raw enc8 coins (r1, r2, rows) for each x of xs in turn, drawn as
+    """Enc8 coins (r1, r2, rows) for each x of xs in turn, drawn as
     _draw_enc4 draws them: r1 is redrawn while out of range or x, r2 while
     out of range, x or r1. A row's x slot is a 3-bit word redrawn while it
     is 7, as randrange(7) draws it; its r1 slots are rng.sample(rest, 3)."""
@@ -134,45 +83,46 @@ def _draw_enc8(xs, n, m, rng):
 
 
 def sample_enc4_randomness(x, modulus, rng):
-    """Uniform enc4 coins: r from Z_n minus {x}, row choices uniform."""
-    return Enc4Randomness(*next(_draw_enc4((x,), modulus.n, modulus.m, rng)))
+    """Uniform enc4 coins (r, row_choices): r from Z_n minus {x}, row
+    choices uniform."""
+    return next(_draw_enc4((x,), modulus.n, modulus.m, rng))
 
 
 def sample_enc8_randomness(x, modulus, rng):
-    """Uniform enc8 coins: distinct blinds, arrangements uniform over 140."""
-    return Enc8Randomness(*next(_draw_enc8((x,), modulus.n, modulus.m, rng)))
+    """Uniform enc8 coins (r1, r2, rows): distinct blinds, arrangements
+    uniform over 140."""
+    return next(_draw_enc8((x,), modulus.n, modulus.m, rng))
 
 
-def _enc4_rows(x, r, choices):
-    base = ((x, r, r), (r, x, r), (r, r, x))
-    return [base[c - 1] for c in choices]
-
-
-def _enc8_rows(x, r1, r2, rows):
-    values = {"x": x, "r1": r1, "r2": r2}
-    return [[values[slot] for slot in row] for row in rows]
-
-
-def _fold(x, rows, modulus):
-    """(x, x1, ...): slot j is sum(rows[i][j] * e_i) mod n over the CRT
-    basis, so it agrees with row i's entry j mod each f_i."""
-    if len(rows) != modulus.m:
-        raise ValueError("need one slot row per factor")
-    e = modulus.crt_basis
-    n = modulus.n
+def encryption_diagonal(x, modulus, coins):
+    """The diagonal (x, x1, ...) before conjugation, for enc4 coins
+    (r, row_choices) or enc8 coins (r1, r2, rows). Factor i's row choice c
+    picks the row of ((x, r, r), (r, x, r), (r, r, x)) with x at c; its
+    enc8 row arranges "x" once and "r1", "r2" three times each over 7
+    slots. Slot j is sum(rows[i][j] * e_i) mod n over the CRT basis, so it
+    agrees with row i's entry j mod each f_i. The coins are not checked
+    here; enc4 and enc8 check fixed coins."""
+    if len(coins) == 2:
+        r, choices = coins
+        base = ((x, r, r), (r, x, r), (r, r, x))
+        rows = [base[c - 1] for c in choices]
+    else:
+        values = {"x": x, "r1": coins[0], "r2": coins[1]}
+        rows = [[values[slot] for slot in row] for row in coins[2]]
+    e, n = modulus.crt_basis, modulus.n
     return (x,) + tuple(sum(map(mul, c, e)) % n for c in zip(*rows))
 
 
-def encryption_diagonal(x, modulus, rnd):
-    """The diagonal (x, x1, ...) before conjugation, for enc4 or enc8 coins."""
-    return _fold(x, rnd.slot_rows(x), modulus)
+_ARRANGED = ["r1", "r1", "r1", "r2", "r2", "r2", "x"]
 
 
-def _encrypt(x, key, rnd, dim):
-    """k_inv * diag(D) * k for x's encryption diagonal D. rnd is fixed coins
-    or an rng to draw them raw from, with no coin object built; either way
-    the blinds pass one check and the rows fold into D through the CRT
-    basis. Which coins are drawn is the only difference between the dims.
+def _encrypt(x, key, coins, dim):
+    """k_inv * diag(D) * k for x's encryption diagonal D. A tuple is fixed
+    coins, (r, row_choices) at dim 4 or (r1, r2, rows) at dim 8, and every
+    check on coins is made here: their shape, their rows and their blinds.
+    Anything else is an rng that one plaintext's coins are drawn from; a
+    draw yields valid rows, so only its blinds are checked. Which coins are
+    drawn is the only difference between the dims.
 
     The product is fused: row i of k_inv is scaled by D, each entry reduced
     mod n, and entry (i, l) of the body is that row's dot product with
@@ -185,20 +135,25 @@ def _encrypt(x, key, rnd, dim):
         raise ParameterError(f"enc{dim} needs a dim {dim} key")
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
-    if dim == 4:
-        drawn = ((rnd.r, rnd.row_choices) if isinstance(rnd, Enc4Randomness)
-                 else next(_draw_enc4((x,), n, m, rnd)))
-        rows = _enc4_rows(x, *drawn)
-    else:
-        drawn = ((rnd.r1, rnd.r2, rnd.rows) if isinstance(rnd, Enc8Randomness)
-                 else next(_draw_enc8((x,), n, m, rnd)))
-        rows = _enc8_rows(x, *drawn)
+    if not isinstance(coins, tuple):
+        draw = _draw_enc4 if dim == 4 else _draw_enc8
+        coins = next(draw((x,), n, m, coins))
+    elif len(coins) != (2 if dim == 4 else 3):
+        raise ValueError("enc4 coins are (r, row_choices), "
+                         "enc8 coins (r1, r2, rows)")
+    elif dim == 4 and any(c not in (1, 2, 3) for c in coins[1]):
+        raise ValueError("row choices must be 1, 2, or 3")
+    elif dim == 8 and any(sorted(row) != _ARRANGED for row in coins[2]):
+        raise ValueError(
+            "each row must arrange x once and r1, r2 three times each")
+    elif len(coins[-1]) != m:
+        raise ValueError("need one slot row per factor")
     taken = [x]
-    for b in drawn[:-1]:
+    for b in coins[:-1]:
         if not 0 <= b < n or b in taken:
             raise ValueError("need distinct blinds in [0, n), none equal to x")
         taken.append(b)
-    diag = _fold(x, rows, modulus)
+    diag = encryption_diagonal(x, modulus, coins)
     k, k_inv = key.k.entries, key.k_inv.entries
     cols = [k[j::dim] for j in range(dim)]
     scaled_rows = [[v * s % n for v, s in zip(k_inv[i:i + dim], diag)]
@@ -207,14 +162,16 @@ def _encrypt(x, key, rnd, dim):
         sum(map(mul, row, col)) % n for row in scaled_rows for col in cols])))
 
 
-def enc4(x, key, rnd):
-    """Encrypt x under a dim 4 key; rnd is an Enc4Randomness or an rng."""
-    return _encrypt(x, key, rnd, 4)
+def enc4(x, key, coins):
+    """Encrypt x under a dim 4 key; coins are fixed, (r, row_choices), or
+    an rng to draw them from."""
+    return _encrypt(x, key, coins, 4)
 
 
-def enc8(x, key, rnd):
-    """Encrypt x under a dim 8 key; rnd is an Enc8Randomness or an rng."""
-    return _encrypt(x, key, rnd, 8)
+def enc8(x, key, coins):
+    """Encrypt x under a dim 8 key; coins are fixed, (r1, r2, rows), or an
+    rng to draw them from."""
+    return _encrypt(x, key, coins, 8)
 
 
 def encrypt_value(x, key, rng):

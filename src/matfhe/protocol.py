@@ -19,7 +19,7 @@ equals a MappedResult or a plain tuple holding the same ciphertext.
 from collections import namedtuple
 from enum import Enum
 
-from .cipher import Enc4Randomness, _draw_enc4, dec, enc4, lock
+from .cipher import _draw_enc4, dec, enc4, lock
 from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
                        format_expr, parse_expr)
 from .formats import entries_text
@@ -158,7 +158,7 @@ def run_protocol(formula, data, keyset, rng):
     owner = compose(k1, k2)
     operands = {}
     for i in required:
-        z = enc4(data[i - 1], owner, Enc4Randomness(*coins[i - 1]))
+        z = enc4(data[i - 1], owner, coins[i - 1])
         operands[f"x{i}"] = z
         messages.append(Message(Role.DATA_OWNER, Role.COMPUTATION_CENTER,
                                 MaskedOperand(i, z)))

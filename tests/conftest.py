@@ -5,7 +5,7 @@ import os
 import pytest
 
 import matfhe
-from matfhe.cipher import Ciphertext, Enc4Randomness
+from matfhe.cipher import Ciphertext
 from matfhe.keys import KeyTuple
 
 from known_answers import CT_A, CT_B5, CT_B12, KA, KA_INV, KB, KB_INV, MOD
@@ -28,8 +28,9 @@ def child_env():
     return env
 
 
-# The coin pair that produces CT_A from plaintext 257 under key A.
-RND_A = Enc4Randomness(r=291, row_choices=(2, 3))
+# The coins (r, row_choices) that produce CT_A from plaintext 257 under
+# key A.
+RND_A = (291, (2, 3))
 
 
 @pytest.fixture

@@ -11,8 +11,7 @@ from matfhe.analysis import (brute_force_cost, count_invertible_exhaustive,
                              invertibility_experiment, kpa_collision_estimate,
                              lemma6_witness, lemma7_check,
                              plaintext_candidates)
-from matfhe.cipher import (Enc4Randomness, enc4, enc8, encrypt_value,
-                           sample_enc4_randomness)
+from matfhe.cipher import enc4, enc8, encrypt_value, sample_enc4_randomness
 from matfhe.evaluate import he_add, he_mul
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe.matrix import (Matrix, determinant, diagonal, identity, mat_mul,
@@ -326,14 +325,17 @@ class TestLemma7Check:
     def test_swap_invisible_when_blind_matches_mod_p(self, key_a):
         # 257 and 5 agree mod p_1 = 3, so swapping the first diagonal pair
         # changes nothing mod 3 and y falls back to x itself.
-        rnd = Enc4Randomness(r=5, row_choices=(2, 3))
-        y, holds = lemma7_check(257, key_a, rnd, 1)
+        y, holds = lemma7_check(257, key_a, (5, (2, 3)), 1)
         assert holds
         assert y == 257
 
     def test_fixed_coins_required(self, key_a):
-        with pytest.raises(TypeError):
-            lemma7_check(257, key_a, random.Random(1), 1)
+        # Two-part enc4 coins only: an rng or three-part enc8 coins are
+        # refused before any encryption.
+        row = ("x",) + ("r1",) * 3 + ("r2",) * 3
+        for rnd in (random.Random(1), (291, 292, (row, row))):
+            with pytest.raises(TypeError):
+                lemma7_check(257, key_a, rnd, 1)
 
     def test_index_validation(self, key_a):
         with pytest.raises(ValueError):

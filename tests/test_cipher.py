@@ -9,16 +9,16 @@ import random
 
 import pytest
 
-from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness, dec,
-                           dec_diagonal, enc4, enc8, encrypt_value,
-                           encryption_diagonal, lock, sample_enc4_randomness,
-                           sample_enc8_randomness, unlock)
+from matfhe.cipher import (Ciphertext, dec, dec_diagonal, enc4, enc8,
+                           encrypt_value, encryption_diagonal, lock,
+                           sample_enc4_randomness, sample_enc8_randomness,
+                           unlock)
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
-from matfhe.matrix import mat_mul
+from matfhe.matrix import identity, mat_mul
 
 from conftest import RND_A
 from known_answers import (CT_A, CT_B5, CT_B12, CT_B_PROD, CT_B_SUM, DIAG_A,
-                           DIAG_B_PROD, DIAG_B_SUM, MOD, N)
+                           DIAG_B_PROD, DIAG_B_SUM, KA, KA_INV, MOD, N)
 
 
 class TestKnownAnswerEncrypt:
@@ -60,28 +60,80 @@ class TestKnownAnswerHomomorphism:
         assert dec_diagonal(prod, key_b) == DIAG_B_PROD
 
 
+ROW8 = ("x",) + ("r1",) * 3 + ("r2",) * 3
+KEY4 = KeyTuple(MOD, KA, KA_INV)
+KEY8 = KeyTuple(MOD, identity(8, N), identity(8, N))
+SHAPE = "enc4 coins are (r, row_choices), enc8 coins (r1, r2, rows)"
+CHOICE = "row choices must be 1, 2, or 3"
+ARRANGE = "each row must arrange x once and r1, r2 three times each"
+COUNT = "need one slot row per factor"
+BLINDS = "need distinct blinds in [0, n), none equal to x"
+
+# Every check on fixed coins, each made in one place (cipher._encrypt), by
+# the coins of x = 5 that trip it and its exact message; MOD has m = 2.
+COIN_CHECKS = {
+    "enc4-three-part": (4, (9, (1, 2), ()), SHAPE),
+    "enc4-one-part": (4, (9,), SHAPE),
+    "enc4-choice-0": (4, (9, (0, 2)), CHOICE),
+    "enc4-choice-4": (4, (9, (1, 4)), CHOICE),
+    "enc4-one-row": (4, (9, (1,)), COUNT),
+    "enc4-three-rows": (4, (9, (1, 2, 3)), COUNT),
+    "enc4-blind-is-x": (4, (5, (1, 2)), BLINDS),
+    "enc4-blind-is-n": (4, (N, (1, 2)), BLINDS),
+    "enc4-blind-negative": (4, (-1, (1, 2)), BLINDS),
+    "enc8-two-part": (8, (9, (ROW8, ROW8)), SHAPE),
+    "enc8-all-x-row": (8, (9, 10, (("x",) * 7, ROW8)), ARRANGE),
+    "enc8-six-slot-row": (8, (9, 10, (ROW8, ROW8[:6])), ARRANGE),
+    "enc8-one-row": (8, (9, 10, (ROW8,)), COUNT),
+    "enc8-r1-is-x": (8, (5, 10, (ROW8, ROW8)), BLINDS),
+    "enc8-r2-is-r1": (8, (9, 9, (ROW8, ROW8)), BLINDS),
+    "enc8-r2-is-n": (8, (9, N, (ROW8, ROW8)), BLINDS),
+}
+
+
+@pytest.mark.parametrize("dim, coins, message", COIN_CHECKS.values(),
+                         ids=COIN_CHECKS)
+def test_every_coin_check_raises_its_message(dim, coins, message):
+    enc, key = (enc4, KEY4) if dim == 4 else (enc8, KEY8)
+    with pytest.raises(ValueError) as err:
+        enc(5, key, coins)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+    good = (9, (1, 2)) if dim == 4 else (9, 10, (ROW8, ROW8))
+    assert dec(enc(5, key, good), key) == 5
+
+
 class TestRandomnessValidation:
-    def test_row_choice_range(self):
-        with pytest.raises(ValueError):
-            Enc4Randomness(r=1, row_choices=(0, 2))
-        with pytest.raises(ValueError):
-            Enc4Randomness(r=1, row_choices=(1, 4))
+    def test_row_choice_range(self, key_a):
+        for choices in ((0, 2), (1, 4)):
+            with pytest.raises(ValueError, match="must be 1, 2, or 3"):
+                enc4(257, key_a, (1, choices))
 
     def test_enc4_rejects_blind_equal_to_plaintext(self, key_a):
         with pytest.raises(ValueError):
-            enc4(257, key_a, Enc4Randomness(r=257, row_choices=(1, 1)))
+            enc4(257, key_a, (257, (1, 1)))
 
     def test_enc4_rejects_out_of_range_blind(self, key_a):
         with pytest.raises(ValueError):
-            enc4(257, key_a, Enc4Randomness(r=N, row_choices=(1, 1)))
+            enc4(257, key_a, (N, (1, 1)))
 
     def test_enc4_rejects_wrong_choice_count(self, key_a):
         with pytest.raises(ValueError):
-            enc4(257, key_a, Enc4Randomness(r=291, row_choices=(1,)))
+            enc4(257, key_a, (291, (1,)))
 
     def test_list_row_choices_are_accepted(self, key_a):
-        rnd = Enc4Randomness(r=9, row_choices=[1, 3])
-        assert dec(enc4(5, key_a, rnd), key_a) == 5
+        assert dec(enc4(5, key_a, (9, [1, 3])), key_a) == 5
+
+    def test_coins_of_the_other_dim_are_refused(self, key_a):
+        # A coin tuple's length names its dim: enc4 refuses enc8 coins and
+        # enc8 refuses enc4 coins, with a ValueError, not as an rng.
+        key8 = keygen8(2, 16, rng=random.Random(3))
+        coins8 = sample_enc8_randomness(5, key8.modulus, random.Random(1))
+        coins4 = sample_enc4_randomness(5, key8.modulus, random.Random(1))
+        for enc, key, coins in ((enc4, key_a, coins8), (enc4, key_a, ()),
+                                (enc8, key8, coins4), (enc8, key8, (9,))):
+            with pytest.raises(ValueError, match="enc4 coins are"):
+                enc(5, key, coins)
 
     def test_enc4_rejects_out_of_range_plaintext(self, key_a):
         with pytest.raises(ValueError):
@@ -95,45 +147,41 @@ class TestRandomnessValidation:
             enc4(5, key8, random.Random(1))
 
     def test_enc8_randomness_validation(self):
-        good = ("x",) + ("r1",) * 3 + ("r2",) * 3
-        Enc8Randomness(r1=1, r2=2, rows=(good,))
-        with pytest.raises(ValueError):
-            Enc8Randomness(r1=1, r2=2, rows=(("x",) * 7,))
-        with pytest.raises(ValueError):
-            Enc8Randomness(r1=1, r2=2, rows=(good[:6],))
+        key8 = keygen8(2, 16, rng=random.Random(3))
+        assert dec(enc8(5, key8, (1, 2, (ROW8, ROW8))), key8) == 5
+        for bad in (("x",) * 7, ROW8[:6]):
+            with pytest.raises(ValueError, match="arrange x once"):
+                enc8(5, key8, (1, 2, (bad, ROW8)))
 
     def test_enc8_rejects_equal_blinds(self, key_a):
         key8 = keygen8(2, 16, rng=random.Random(3))
-        row = ("x",) + ("r1",) * 3 + ("r2",) * 3
         with pytest.raises(ValueError):
-            enc8(5, key8, Enc8Randomness(r1=9, r2=9, rows=(row, row)))
+            enc8(5, key8, (9, 9, (ROW8, ROW8)))
 
     def test_enc8_rejects_bad_blinds_counts_and_keys(self, key_a):
         # The checks enc4 and enc8 share: blinds in [0, n), unequal to x
         # and to each other, one slot row per factor, a key of their dim.
         key8 = keygen8(2, 16, rng=random.Random(3))
         n = key8.modulus.n
-        row = ("x",) + ("r1",) * 3 + ("r2",) * 3
         for r1, r2, count in [(5, 9, 2), (9, 5, 2), (n, 9, 2), (9, -1, 2),
                               (9, 10, 1), (9, 10, 3)]:
             with pytest.raises(ValueError):
-                enc8(5, key8, Enc8Randomness(r1=r1, r2=r2,
-                                             rows=(row,) * count))
+                enc8(5, key8, (r1, r2, (ROW8,) * count))
         with pytest.raises(ValueError):
             enc8(5, key_a, random.Random(1))
-        good = Enc8Randomness(r1=9, r2=10, rows=(row, row))
+        good = (9, 10, (ROW8, ROW8))
         assert dec(enc8(5, key8, good), key8) == 5
 
     def test_sampled_coins_respect_constraints(self):
         rng = random.Random(5)
         for _ in range(200):
             x = rng.randrange(N)
-            c4 = sample_enc4_randomness(x, MOD, rng)
-            assert c4.r != x and 0 <= c4.r < N
-            assert len(c4.row_choices) == MOD.m
-            c8 = sample_enc8_randomness(x, MOD, rng)
-            assert len({x, c8.r1, c8.r2}) == 3
-            assert len(c8.rows) == MOD.m
+            r, choices = sample_enc4_randomness(x, MOD, rng)
+            assert r != x and 0 <= r < N
+            assert len(choices) == MOD.m
+            r1, r2, rows = sample_enc8_randomness(x, MOD, rng)
+            assert len({x, r1, r2}) == 3
+            assert len(rows) == MOD.m
 
 
 class TestRoundTrips:

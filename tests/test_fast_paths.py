@@ -29,17 +29,18 @@ from hypothesis import given, settings, strategies as st
 
 from matfhe import analysis, cipher, keys, protocol
 from matfhe.analysis import kpa_collision_estimate
-from matfhe.cipher import (Ciphertext, Enc4Randomness, Enc8Randomness,
-                           _draw_enc4, _draw_enc8, dec, dec_diagonal, enc4,
-                           enc8, encrypt_value, encryption_diagonal, lock,
-                           sample_enc4_randomness, sample_enc8_randomness)
+from matfhe.cipher import (Ciphertext, _draw_enc4, _draw_enc8, dec,
+                           dec_diagonal, enc4, enc8, encrypt_value,
+                           encryption_diagonal, lock, sample_enc4_randomness,
+                           sample_enc8_randomness)
 from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
                              ExprSyntaxError, Ref, eval_expr, parse_expr)
 from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe import matrix
-from matfhe.matrix import (MismatchError, diagonal, inverse, mat_mul,
-                           random_invertible, random_invertible_pair)
+from matfhe.matrix import (MismatchError, diagonal, identity, inverse,
+                           mat_mul, random_invertible,
+                           random_invertible_pair)
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
                              MappedResult, MaskedOperand, Message, Role,
                              Transcript, run_protocol, serialize_transcript)
@@ -69,14 +70,16 @@ def crt_solve_fold(rows, modulus):
 
 
 def oracle_diagonal(x, modulus, rnd):
-    """The encryption diagonal for enc4 or enc8 coins, by crt_solve."""
-    if isinstance(rnd, Enc4Randomness):
-        r = rnd.r
+    """The encryption diagonal for enc4 coins (r, row_choices) or enc8
+    coins (r1, r2, rows), by crt_solve."""
+    if len(rnd) == 2:
+        r, choices = rnd
         base = ((x, r, r), (r, x, r), (r, r, x))
-        rows = [base[c - 1] for c in rnd.row_choices]
+        rows = [base[c - 1] for c in choices]
     else:
-        values = {"x": x, "r1": rnd.r1, "r2": rnd.r2}
-        rows = [[values[slot] for slot in row] for row in rnd.rows]
+        r1, r2, arrangement = rnd
+        values = {"x": x, "r1": r1, "r2": r2}
+        rows = [[values[slot] for slot in row] for row in arrangement]
     return (x,) + crt_solve_fold(rows, modulus)
 
 
@@ -129,14 +132,17 @@ class TestCrtBasis:
         assert encryption_diagonal(x, key.modulus, rnd) == expected
         assert dec_diagonal(ct, key) == expected
 
-    def test_fold_rejects_wrong_row_count(self):
-        with pytest.raises(ValueError):
-            encryption_diagonal(5, MOD, Enc4Randomness(r=7, row_choices=(1,)))
+    def test_wrong_row_count_is_refused_before_the_fold(self):
+        # The fold itself checks nothing; enc4 and enc8 refuse fixed coins
+        # with other than one slot row per factor.
+        key4 = KeyTuple(MOD, KA, KA_INV)
+        key8 = KeyTuple(MOD, identity(8, MOD.n), identity(8, MOD.n))
+        with pytest.raises(ValueError, match="one slot row per factor"):
+            enc4(5, key4, (7, (1,)))
         row = ("x",) + ("r1",) * 3 + ("r2",) * 3
         for rows in ((), (row,), (row,) * 3):
-            with pytest.raises(ValueError):
-                encryption_diagonal(5, MOD,
-                                    Enc8Randomness(r1=7, r2=8, rows=rows))
+            with pytest.raises(ValueError, match="one slot row per factor"):
+                enc8(5, key8, (7, 8, rows))
 
 
 class TestColumnScaledEncryption:
@@ -151,7 +157,7 @@ class TestColumnScaledEncryption:
         key = keygen8(2, 16, random.Random(3))
         rows = (("x", "r1", "r1", "r1", "r2", "r2", "r2"),
                 ("r2", "r2", "r2", "x", "r1", "r1", "r1"))
-        rnd = Enc8Randomness(r1=10, r2=20, rows=rows)
+        rnd = (10, 20, rows)
         assert enc8(7, key, rnd).body == two_products(7, key, rnd)
 
     @pytest.mark.parametrize("m", (1, 2))
@@ -184,7 +190,7 @@ class TestDim4Encryption:
                 for _ in range(2):
                     x = rng.randrange(n)
                     r = (x + 1 + rng.randrange(n - 1)) % n
-                    rnd = Enc4Randomness(r=r, row_choices=choices)
+                    rnd = (r, choices)
                     assert enc4(x, kt, rnd).body == two_products(x, kt, rnd)
 
     def test_equal_keys_give_equal_bodies(self):
@@ -200,7 +206,7 @@ class TestDim4Encryption:
         key, _ = make_key(2, 4, 16, 5)
         for choices in ((1,), (1, 2, 3)):
             with pytest.raises(ValueError, match="one slot row per factor"):
-                enc4(3, key, Enc4Randomness(r=4, row_choices=choices))
+                enc4(3, key, (4, choices))
 
     @pytest.mark.parametrize("dim", (4, 8))
     def test_encryption_leaves_no_state_on_the_key(self, dim):
@@ -224,9 +230,8 @@ def oracle_blind(taken, n, rng):
 
 def oracle_enc4_coins(x, modulus, rng):
     """The enc4 sampler as written before its raw draw was split out."""
-    return Enc4Randomness(
-        r=oracle_blind((x,), modulus.n, rng),
-        row_choices=tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
+    return (oracle_blind((x,), modulus.n, rng),
+            tuple(rng.randrange(1, 4) for _ in range(modulus.m)))
 
 
 def oracle_enc8_coins(x, modulus, rng):
@@ -242,7 +247,7 @@ def oracle_enc8_coins(x, modulus, rng):
         for i in rng.sample(rest, 3):
             slots[i] = "r1"
         rows.append(tuple(slots))
-    return Enc8Randomness(r1=r1, r2=r2, rows=tuple(rows))
+    return r1, r2, tuple(rows)
 
 
 class TestRawDraws:
@@ -262,8 +267,8 @@ class TestRawDraws:
         **{f"l256-m{m}": generate_coprime_set(m, 256, random.Random(m))
            for m in (1, 2, 3)},
     }
-    DRAWS = {4: (_draw_enc4, Enc4Randomness, oracle_enc4_coins),
-             8: (_draw_enc8, Enc8Randomness, oracle_enc8_coins)}
+    DRAWS = {4: (_draw_enc4, oracle_enc4_coins),
+             8: (_draw_enc8, oracle_enc8_coins)}
 
     @pytest.mark.parametrize("dim", (4, 8))
     @pytest.mark.parametrize("name", sorted(MODULI))
@@ -271,7 +276,7 @@ class TestRawDraws:
         # At N = 15 and 21 blinds are often redrawn: a draw hits x 1 time
         # in 15 or 21, and at dim 8 r2 also hits r1 as often.
         modulus = self.MODULI[name]
-        draw, coins, oracle = self.DRAWS[dim]
+        draw, oracle = self.DRAWS[dim]
         sample, picks = SAMPLE[dim], random.Random(name)
         for seed in range(20):
             rng, twin, sampled = (random.Random(seed) for _ in range(3))
@@ -279,7 +284,7 @@ class TestRawDraws:
             stream = draw(xs, modulus.n, modulus.m, rng)
             for x, drawn in zip(xs, stream, strict=True):
                 want = oracle(x, modulus, twin)
-                assert coins(*drawn) == want
+                assert drawn == want
                 assert sample(x, modulus, sampled) == want
             assert rng.getstate() == twin.getstate() == sampled.getstate()
             assert rng.random() == twin.random() == sampled.random()
@@ -288,14 +293,14 @@ class TestRawDraws:
     @pytest.mark.parametrize("name", sorted(MODULI))
     def test_stream_draws_only_what_is_taken(self, name, dim):
         modulus = self.MODULI[name]
-        draw, coins, oracle = self.DRAWS[dim]
+        draw, oracle = self.DRAWS[dim]
         picks = random.Random(name)
         for seed in range(10):
             rng, twin = random.Random(seed), random.Random(seed)
             xs = [picks.randrange(modulus.n) for _ in range(10)]
             stream = draw(xs, modulus.n, modulus.m, rng)
             assert rng.getstate() == twin.getstate()
-            assert coins(*next(stream)) == oracle(xs[0], modulus, twin)
+            assert next(stream) == oracle(xs[0], modulus, twin)
             assert rng.getstate() == twin.getstate()
             assert rng.random() == twin.random()
 
@@ -308,7 +313,7 @@ class TestRawDraws:
         xs = [picks.randrange(modulus.n) for _ in range(50)]
         encs = {4: enc4, 8: enc8}
         want, bodies = {}, {}
-        for dim, (_, _, oracle) in self.DRAWS.items():
+        for dim, (_, oracle) in self.DRAWS.items():
             twin, frozen = random.Random(dim), random.Random(dim)
             want[dim] = [oracle(x, modulus, twin) for x in xs]
             key, _ = make_key(2, dim, 16, 50 + dim)
@@ -322,9 +327,9 @@ class TestRawDraws:
             raise AssertionError("coins drew on randrange")
 
         monkeypatch.setattr(random.Random, "randrange", refused)
-        for dim, (draw, coins, _) in self.DRAWS.items():
+        for dim, (draw, _) in self.DRAWS.items():
             stream = draw(xs, modulus.n, modulus.m, random.Random(dim))
-            assert [coins(*drawn) for drawn in stream] == want[dim]
+            assert list(stream) == want[dim]
             key, want_bodies = bodies[dim]
             rng = random.Random(dim)
             assert [encs[dim](x, key, rng).body
@@ -334,17 +339,16 @@ class TestRawDraws:
 
 
 class TestRngPath:
-    """enc4 and enc8 given an rng draw their coins raw: the RNG calls of
-    the samplers in their order, and no coin object built."""
+    """enc4 and enc8 given an rng draw their coins with the RNG calls of
+    the samplers, in their order."""
 
-    PATHS = {4: (enc4, Enc4Randomness, oracle_enc4_coins),
-             8: (enc8, Enc8Randomness, oracle_enc8_coins)}
+    PATHS = {4: (enc4, oracle_enc4_coins), 8: (enc8, oracle_enc8_coins)}
 
     @pytest.mark.parametrize("dim", (4, 8))
     @pytest.mark.parametrize("bits", (16, 256))
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_body_and_next_draw_equal_sampled_coins(self, m, bits, dim):
-        enc, _, oracle = self.PATHS[dim]
+        enc, oracle = self.PATHS[dim]
         key, picks = make_key(m, dim, bits, 30 + m)
         modulus = key.modulus
         for seed in range(10):
@@ -359,23 +363,32 @@ class TestRngPath:
 
     @pytest.mark.parametrize("dim", (4, 8))
     def test_builds_no_coin_object(self, monkeypatch, dim):
-        enc, coins, _ = self.PATHS[dim]
-        built = []
-        check = coins.__post_init__
+        # The coins folded are the very tuple the draw yielded, or the
+        # caller's fixed tuple: nothing is rebuilt between them.
+        enc, _ = self.PATHS[dim]
+        name = f"_draw_enc{dim}"
+        draw, yielded, folded = getattr(cipher, name), [], []
 
-        def counting(self):
-            built.append(self)
-            check(self)
+        def recording(xs, n, m, rng):
+            for coins in draw(xs, n, m, rng):
+                yielded.append(coins)
+                yield coins
 
-        monkeypatch.setattr(coins, "__post_init__", counting)
+        def folding(x, modulus, coins):
+            folded.append(coins)
+            return encryption_diagonal(x, modulus, coins)
+
         key, rng = make_key(2, dim, 16, 7)
+        fixed = SAMPLE[dim](3, key.modulus, random.Random(1))
+        monkeypatch.setattr(cipher, name, recording)
+        monkeypatch.setattr(cipher, "encryption_diagonal", folding)
         for _ in range(50):
             x = rng.randrange(key.modulus.n)
             assert dec(enc(x, key, rng), key) == x
-        assert built == []
-        fixed = SAMPLE[dim](3, key.modulus, random.Random(1))
+        assert len(yielded) == len(folded) == 50
+        assert all(a is b for a, b in zip(folded, yielded))
         enc(3, key, fixed)
-        assert built == [fixed]
+        assert folded[-1] is fixed and len(yielded) == 50
 
     def test_raw_blind_goes_through_the_blind_check(self, monkeypatch):
         # The rng path and fixed coins share one check: a drawn blind equal
@@ -387,7 +400,7 @@ class TestRngPath:
         with pytest.raises(ValueError, match="distinct blinds"):
             enc4(5, key, rng)
         with pytest.raises(ValueError, match="distinct blinds"):
-            enc4(5, key, Enc4Randomness(r=5, row_choices=(1, 2)))
+            enc4(5, key, (5, (1, 2)))
 
 
 def folding_estimate(key, x, trials, rng):
@@ -448,7 +461,7 @@ class TestTraceScreen:
         seeds = [seed for seed in range(400)
                  if any((b - x) % f == 0 for f in modulus.f
                         for b in SAMPLE[dim](x, modulus,
-                                             random.Random(seed)).blinds)]
+                                             random.Random(seed))[:-1])]
         assert len(seeds) >= 8
         hits = sum(self.assert_same_as_folding(key, x, 3000, seed)
                    for seed in seeds[:8])
@@ -469,20 +482,37 @@ class TestTraceScreen:
         assert 1 <= len(folds) <= 1 + trials // 100
 
     def test_builds_coins_only_on_a_hit(self, monkeypatch):
-        # A trial's raw draw is screened by its blinds; only the target and
-        # the trials that pass become coin objects, however they are drawn.
-        built = []
-        check = Enc4Randomness.__post_init__
+        # At both dims the target and the trials that pass the screen are
+        # folded from the stream's own tuples, the target first; no trial
+        # is folded twice and none is rebuilt.
+        modulus = generate_coprime_set(1, 8, candidates=(3, 5))
+        for dim, name in ((4, "_draw_enc4"), (8, "_draw_enc8")):
+            draw, yielded, folded = getattr(analysis, name), [], []
 
-        def counting(self):
-            built.append(self)
-            check(self)
+            def recording(xs, n, m, rng, draw=draw, yielded=yielded):
+                for coins in draw(xs, n, m, rng):
+                    yielded.append(coins)
+                    yield coins
 
-        monkeypatch.setattr(Enc4Randomness, "__post_init__", counting)
-        trials = 3000
-        kpa_collision_estimate(KeyTuple(MOD, KA, KA_INV), 257, trials,
-                               random.Random(1))
-        assert 1 <= len(built) <= 1 + trials // 100
+            def folding(x, modulus, coins, folded=folded):
+                folded.append(coins)
+                return encryption_diagonal(x, modulus, coins)
+
+            monkeypatch.setattr(analysis, name, recording)
+            monkeypatch.setattr(analysis, "encryption_diagonal", folding)
+            key = KeyTuple(modulus, identity(dim, modulus.n),
+                           identity(dim, modulus.n))
+            trials = 600
+            kpa_collision_estimate(key, 4, trials, random.Random(dim))
+            assert len(yielded) == trials + 1
+            screen = (lambda c: c[0]) if dim == 4 else (
+                lambda c: 3 * (c[0] + c[1]) % modulus.n)
+            target = yielded[0]
+            want = [target] + [c for c in yielded[1:]
+                               if screen(c) == screen(target)]
+            assert 1 < len(want) < trials
+            assert len(folded) == len(want)
+            assert all(a is b for a, b in zip(folded, want))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=3),
@@ -495,10 +525,10 @@ class TestTraceScreen:
         x = rng.randrange(n)
         if dim == 4:
             rnd = sample_enc4_randomness(x, modulus, rng)
-            trace = 2 * x + 2 * rnd.r
+            trace = 2 * x + 2 * rnd[0]
         else:
             rnd = sample_enc8_randomness(x, modulus, rng)
-            trace = 2 * x + 3 * (rnd.r1 + rnd.r2)
+            trace = 2 * x + 3 * (rnd[0] + rnd[1])
         assert sum(encryption_diagonal(x, modulus, rnd)) % n == trace % n
 
     @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from matfhe.cipher import Ciphertext, Enc4Randomness, Enc8Randomness
+from matfhe.cipher import Ciphertext
 from matfhe.evaluate import BinOp, CipherEnv, Const, Ref
 from matfhe.keys import KeySet, KeyTuple, compose
 from matfhe.matrix import Matrix, identity
@@ -27,7 +27,6 @@ from known_answers import CT_A, KA, KA_INV, KB, KB_INV, MOD
 
 KEY_A = KeyTuple(MOD, KA, KA_INV)
 KEY_B = KeyTuple(MOD, KB, KB_INV)
-ROW8 = ("x", "r1", "r1", "r1", "r2", "r2", "r2")
 ANNOUNCE = FormulaAnnouncement(Ref("x1"))
 
 def _modulus(**changes):
@@ -39,8 +38,6 @@ def _modulus(**changes):
 # Each record type with one value per field, the fields in declaration order.
 RECORDS = [
     (Ciphertext, {"body": CT_A}),
-    (Enc4Randomness, {"r": 291, "row_choices": (2, 3)}),
-    (Enc8Randomness, {"r1": 5, "r2": 6, "rows": (ROW8, ROW8[::-1])}),
     (Const, {"value": 7}),
     (Ref, {"name": "x1"}),
     (BinOp, {"op": "+", "left": Const(7), "right": Ref("x1")}),
@@ -80,10 +77,6 @@ CHECKS = [
     (RingModulus, _modulus(q=(7, 3), f=(21, 15), n=315),
      "factors must be pairwise coprime"),
     (RingModulus, _modulus(n=1157), "n must be the product of the f_i"),
-    (Enc4Randomness, {"r": 291, "row_choices": (2, 4)},
-     "row choices must be 1, 2, or 3"),
-    (Enc8Randomness, {"r1": 5, "r2": 6, "rows": (ROW8[1:] + ("r1",),)},
-     "each row must arrange x once and r1, r2 three times each"),
     (KeyTuple, {"modulus": MOD, "k": identity(2, 1155),
                 "k_inv": identity(2, 1155)},
      "key dimension must be one of (4, 8)"),
@@ -169,10 +162,9 @@ def test_cipher_env_defaults():
 
 
 def test_replace_runs_the_checks():
-    coins = Enc4Randomness(291, (2, 3))
-    assert coins._replace(r=5) == Enc4Randomness(5, (2, 3))
-    with pytest.raises(ValueError, match="row choices must be 1, 2, or 3"):
-        coins._replace(row_choices=(4,))
+    assert MOD._replace(bits=16) == RingModulus(**_modulus(bits=16))
+    with pytest.raises(ValueError, match="n must be the product of the f_i"):
+        MOD._replace(n=1157)
 
 
 MATFHE_MODULES = ["matfhe", "matfhe.analysis", "matfhe.cipher", "matfhe.cli",
