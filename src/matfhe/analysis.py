@@ -21,20 +21,18 @@ from .ring import ParameterError, mod_inverse
 def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
     """Counts of invertible draws among uniform random dim x dim matrices.
 
-    Each entry of moduli is a RingModulus or a bare int (bare ints allow
-    degenerate test values like 4 that the modulus type rejects). Returns
+    moduli are ints n >= 2, degenerate ones like 4 included. Returns
     {n: [count per repeat]}, so a repeated modulus is refused. Every modulus
     is checked before the first draw.
     """
     if samples < 1 or repeats < 1:
         raise ParameterError("samples and repeats must be >= 1")
-    ns = [getattr(modulus, "n", modulus) for modulus in moduli]
-    if any(n < 2 for n in ns):
+    if any(n < 2 for n in moduli):
         raise ParameterError("moduli must be >= 2")
-    if len(set(ns)) != len(ns):
+    if len(set(moduli)) != len(moduli):
         raise ParameterError("moduli must not repeat")
     out = {}
-    for n in ns:
+    for n in moduli:
         counts = []
         for _ in range(repeats):
             hits = 0

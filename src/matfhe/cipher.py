@@ -120,9 +120,9 @@ def _encrypt(x, key, coins, dim):
     """k_inv * diag(D) * k for x's encryption diagonal D. A tuple is fixed
     coins, (r, row_choices) at dim 4 or (r1, r2, rows) at dim 8, and every
     check on coins is made here: their shape, their rows and their blinds.
-    Anything else is an rng that one plaintext's coins are drawn from; a
-    draw yields valid rows, so only its blinds are checked. Which coins are
-    drawn is the only difference between the dims.
+    Anything else is an rng that the dim's sampler draws one plaintext's
+    coins from; a draw yields valid rows, so only its blinds are checked.
+    Which coins are drawn is the only difference between the dims.
 
     The product is fused: row i of k_inv is scaled by D, each entry reduced
     mod n, and entry (i, l) of the body is that row's dot product with
@@ -136,8 +136,8 @@ def _encrypt(x, key, coins, dim):
     if not 0 <= x < n:
         raise ParameterError(f"plaintext must lie in [0, {n})")
     if not isinstance(coins, tuple):
-        draw = _draw_enc4 if dim == 4 else _draw_enc8
-        coins = next(draw((x,), n, m, coins))
+        sample = sample_enc4_randomness if dim == 4 else sample_enc8_randomness
+        coins = sample(x, modulus, coins)
     elif len(coins) != (2 if dim == 4 else 3):
         raise ValueError("enc4 coins are (r, row_choices), "
                          "enc8 coins (r1, r2, rows)")

@@ -5,7 +5,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .matrix import identity, inverse, mat_mul, random_invertible_pair
-from .ring import GenerationError, ParameterError, _Record, generate_coprime_set
+from .ring import ParameterError, _Record, generate_coprime_set
 
 KEY_DIMS = (4, 8)
 
@@ -56,19 +56,6 @@ class KeySet(_Record, namedtuple("KeySet", "modulus components master")):
             raise ValueError("all keys must share one dimension")
 
 
-class _EntryStream:
-    """Feeds fixed values to the matrix draw, for deterministic tests."""
-
-    def __init__(self, values):
-        self._it = iter(values)
-
-    def randrange(self, *_args):
-        try:
-            return next(self._it)
-        except StopIteration:
-            raise GenerationError("injected entry stream exhausted") from None
-
-
 def key_tuple_from_matrix(modulus, k):
     """Pair a bare k with its inverse. Raises if k is not invertible."""
     return KeyTuple(modulus, k, inverse(k))
@@ -80,25 +67,24 @@ def compose(a, b):
     return KeyTuple(a.modulus, mat_mul(a.k, b.k), mat_mul(b.k_inv, a.k_inv))
 
 
-def _keygen(dim, m, bits, rng, candidates=None, entries=None):
+def _keygen(dim, m, bits, rng, candidates):
     modulus = generate_coprime_set(m, bits, rng, candidates=candidates)
-    source = _EntryStream(entries) if entries is not None else rng
-    return KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, source))
+    return KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
 
 
-def keygen4(m, bits, rng=None, candidates=None, entries=None):
-    """Generate a fresh dim 4 key: a modulus from 2m coprime factors and an
-    invertible conjugation matrix with its inverse.
+def keygen4(m, bits, rng, candidates=None):
+    """Generate a fresh dim 4 key from rng: a modulus from 2m coprime
+    factors and an invertible conjugation matrix with its inverse.
 
-    candidates and entries are injection points for deterministic tests:
-    candidates feeds the factor search, entries feeds the matrix draw.
+    candidates, when given, replaces the factor search and its rng calls,
+    so rng.randrange(N) then draws the matrix entries alone.
     """
-    return _keygen(4, m, bits, rng, candidates=candidates, entries=entries)
+    return _keygen(4, m, bits, rng, candidates)
 
 
-def keygen8(m, bits, rng=None, candidates=None, entries=None):
+def keygen8(m, bits, rng, candidates=None):
     """Dim 8 variant of keygen4."""
-    return _keygen(8, m, bits, rng, candidates=candidates, entries=entries)
+    return _keygen(8, m, bits, rng, candidates)
 
 
 def keyset_gen(dim, count, m, bits, rng):

@@ -251,26 +251,28 @@ def inverse(a):
     return Matrix(d, n, tuple(x for row in m for x in row[d:]))
 
 
-def random_invertible(dim, modulus, rng, max_rerolls=1000):
+def random_invertible(dim, modulus, rng):
     """Random invertible matrix mod modulus: random_invertible_pair's k."""
-    return random_invertible_pair(dim, modulus, rng, max_rerolls)[0]
+    return random_invertible_pair(dim, modulus, rng)[0]
 
 
-def random_invertible_pair(dim, modulus, rng, max_rerolls=1000):
+def random_invertible_pair(dim, modulus, rng):
     """Random invertible k mod modulus with k^-1, from one elimination pass.
 
-    Entries are drawn row-major with rng.randrange(modulus). Each drawn row,
-    next to the identity row that records it, is reduced against the rows
-    kept so far, its free columns (no kept row's pivot) first: a row with no
-    unit there to pivot on is redrawn whole (the screen can reject rows a
-    fuller search would keep). A kept row clears its pivot column from the
-    earlier ones (Gauss-Jordan), so they end as [P | G] with G*k = P, a
-    permutation. No row is divided by its pivot: each kept row is the
-    normalized one times s, the product of the pivots so far, and a drawn
-    row v is reduced as s*v - sum(v[p_t] * kept_t). A unit factor keeps
-    zeros at zero and units as units, so pivots, redraws and rng calls are
-    those of the normalized pass. The last row's step divides by the final
-    s, the one modular inverse. Every pivot is a unit, so det k is one too.
+    Entries are drawn row-major with rng.randrange(modulus), its only rng
+    call, and reduced mod modulus, so any object with that method can fix
+    the draw. Each drawn row, next to the identity row that records it, is
+    reduced against the rows kept so far, its free columns (no kept row's
+    pivot) first: a row with no unit there to pivot on is redrawn whole (the
+    screen can reject rows a fuller search would keep). A kept row clears
+    its pivot column from the earlier ones (Gauss-Jordan), so they end as
+    [P | G] with G*k = P, a permutation. No row is divided by its pivot:
+    each kept row is the normalized one times s, the product of the pivots
+    so far, and a drawn row v is reduced as s*v - sum(v[p_t] * kept_t). A
+    unit factor keeps zeros at zero and units as units, so pivots, redraws
+    and rng calls are those of the normalized pass. The last row's step
+    divides by the final s, the one modular inverse. Every pivot is a unit,
+    so det k is one too. The 1001st rejected row raises GenerationError.
     """
     _check_shape(dim, modulus)
     n = modulus
@@ -287,9 +289,8 @@ def random_invertible_pair(dim, modulus, rng, max_rerolls=1000):
                   if x and math.gcd(x, n) == 1), None)
         if f is None:
             rerolls += 1
-            if rerolls > max_rerolls:
-                raise GenerationError(
-                    f"row generation exhausted {max_rerolls} rerolls")
+            if rerolls > 1000:
+                raise GenerationError("row generation exhausted 1000 rerolls")
             continue
         w = head + [-sum(map(mul, cs, col)) % n for col in cols[len(free):]]
         w.append(s)

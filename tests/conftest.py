@@ -33,6 +33,18 @@ def child_env():
 RND_A = (291, (2, 3))
 
 
+class EntryRng:
+    """An rng whose randrange returns the given values in turn, whatever its
+    arguments: key generation given factor candidates draws each matrix
+    entry with one randrange call, so these fix the key's entries."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, *_args):
+        return next(self._values)
+
+
 @pytest.fixture
 def key_a():
     return KeyTuple(MOD, KA, KA_INV)

@@ -31,7 +31,7 @@ from matfhe.protocol import (MaskedOperand, Message, Role, Transcript,
                              audit_transcript, run_protocol,
                              serialize_transcript)
 
-from conftest import FIXTURE_DIR, RND_A, child_env
+from conftest import FIXTURE_DIR, RND_A, EntryRng, child_env
 from known_answers import (CT_A, CT_B5, CT_B12, CT_B_PROD, CT_B_SUM, DIAG_A,
                            DIAG_B_PROD, DIAG_B_SUM, KA, KA_INV, KB, KB_INV,
                            MOD, N)
@@ -51,7 +51,7 @@ def test_criterion_01_pinned_encryption_bit_exact():
     # reproduce the frozen key pair, then Enc(257) under fixed coins
     # (r=291, rows 2 and 3) must hit the known diagonal and ciphertext
     # entry for entry, and decrypt back to 257.
-    key = keygen4(2, 8, candidates=[3, 5, 7, 11], entries=KA.entries)
+    key = keygen4(2, 8, EntryRng(KA.entries), candidates=[3, 5, 7, 11])
     assert key.modulus == MOD
     assert key.k == KA
     assert key.k_inv == KA_INV
@@ -196,7 +196,7 @@ def test_criterion_07_invertibility_experiment():
         return out
 
     p_ref = density([3, 5, 7, 11])
-    counts = invertibility_experiment([MOD], 100, 5, random.Random(2))
+    counts = invertibility_experiment([MOD.n], 100, 5, random.Random(2))
     sigma = math.sqrt(100 * p_ref * (1 - p_ref))
     for hits in counts[N]:
         assert abs(hits - 100 * p_ref) <= 3 * sigma

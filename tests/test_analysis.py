@@ -45,7 +45,7 @@ class TestInvertibilityExperiment:
         # about 32%; each 100-sample trial must land within 3 sigma of
         # the formula value.
         p = gl4_density([3, 5, 7, 11])
-        counts = invertibility_experiment([MOD], 100, 5, random.Random(2))
+        counts = invertibility_experiment([MOD.n], 100, 5, random.Random(2))
         assert list(counts) == [N]
         assert len(counts[N]) == 5
         sigma = math.sqrt(100 * p * (1 - p))
@@ -83,7 +83,7 @@ class TestInvertibilityExperiment:
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
-            invertibility_experiment([MOD], 0, 1, random.Random(1))
+            invertibility_experiment([MOD.n], 0, 1, random.Random(1))
 
 
 class TestBruteForceCost:
@@ -205,9 +205,9 @@ _PARAMETER_CHECKS = {
     "cost-bits-0": lambda key, rng: brute_force_cost(0, 4),
     "cost-dim-0": lambda key, rng: brute_force_cost(4, 0),
     "invertibility-samples-0":
-        lambda key, rng: invertibility_experiment([MOD], 0, 1, rng),
+        lambda key, rng: invertibility_experiment([MOD.n], 0, 1, rng),
     "invertibility-repeats-0":
-        lambda key, rng: invertibility_experiment([MOD], 5, 0, rng),
+        lambda key, rng: invertibility_experiment([MOD.n], 5, 0, rng),
     "invertibility-modulus-1":
         lambda key, rng: invertibility_experiment([1], 5, 1, rng),
     "invertibility-last-modulus-1":
@@ -215,7 +215,7 @@ _PARAMETER_CHECKS = {
     "invertibility-repeated-modulus":
         lambda key, rng: invertibility_experiment([1155, 77, 1155], 5, 1, rng),
     "invertibility-modulus-repeated-as-int":
-        lambda key, rng: invertibility_experiment([MOD, 1155], 5, 1, rng),
+        lambda key, rng: invertibility_experiment([MOD.n, 1155], 5, 1, rng),
     "keyset-count-1": lambda key, rng: keyset_gen(4, 1, 2, 16, rng),
     "matrix-dim-5": lambda key, rng: random_invertible(5, N, rng),
     "matrix-modulus-1": lambda key, rng: random_invertible(4, 1, rng),

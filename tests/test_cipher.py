@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from matfhe import cipher
 from matfhe.cipher import (Ciphertext, dec, dec_diagonal, enc4, enc8,
                            encrypt_value, encryption_diagonal, lock,
                            sample_enc4_randomness, sample_enc8_randomness,
@@ -182,6 +183,28 @@ class TestRandomnessValidation:
             r1, r2, rows = sample_enc8_randomness(x, MOD, rng)
             assert len({x, r1, r2}) == 3
             assert len(rows) == MOD.m
+
+    @pytest.mark.parametrize("dim", (4, 8))
+    def test_rng_coins_come_from_one_sampler_call(self, monkeypatch, dim):
+        # Given an rng, each encryption calls its dim's sampler once, on
+        # the stream a direct call reads; fixed coins call no sampler.
+        samplers, calls = {}, []
+        for d in (4, 8):
+            name = f"sample_enc{d}_randomness"
+            samplers[d] = getattr(cipher, name)
+
+            def counting(x, modulus, rng, d=d):
+                calls.append((d, x))
+                return samplers[d](x, modulus, rng)
+
+            monkeypatch.setattr(cipher, name, counting)
+        enc = enc4 if dim == 4 else enc8
+        key = (keygen4 if dim == 4 else keygen8)(2, 16, random.Random(dim))
+        rng, twin = random.Random(1), random.Random(1)
+        for x in (0, 5, 9):
+            coins = samplers[dim](x, key.modulus, twin)
+            assert enc(x, key, rng) == enc(x, key, coins)
+        assert calls == [(dim, 0), (dim, 5), (dim, 9)]
 
 
 class TestRoundTrips:

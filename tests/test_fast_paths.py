@@ -47,6 +47,7 @@ from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
 from matfhe.ring import (GenerationError, ParameterError, crt_solve,
                          generate_coprime_set)
 
+from conftest import EntryRng
 from known_answers import KA, KA_INV, MOD
 
 KEYGEN = {4: keygen4, 8: keygen8}
@@ -598,7 +599,7 @@ class TestDecMismatch:
             dec(enc4(3, other, rng), key)
 
 
-def normalized_screen_pair(dim, n, rng, max_rerolls=1000):
+def normalized_screen_pair(dim, n, rng):
     """The row screen with each kept row divided by its pivot: one modular
     inverse per row. Returns the entries of k and of k_inv."""
     rows = []
@@ -615,9 +616,8 @@ def normalized_screen_pair(dim, n, rng, max_rerolls=1000):
                       if x and math.gcd(x, n) == 1), None)
         if pivot is None:
             rerolls += 1
-            if rerolls > max_rerolls:
-                raise GenerationError(
-                    f"row generation exhausted {max_rerolls} rerolls")
+            if rerolls > 1000:
+                raise GenerationError("row generation exhausted 1000 rerolls")
             continue
         inv = pow(reduced[pivot], -1, n)
         reduced = [x * inv % n for x in reduced]
@@ -678,13 +678,13 @@ class TestKeyMatrixPair:
                 draws.append(n)
                 return 0
 
-        with pytest.raises(GenerationError, match="exhausted 3 rerolls"):
-            random_invertible_pair(4, MOD.n, Zeros(), max_rerolls=3)
-        assert len(draws) == 4 * 4
+        with pytest.raises(GenerationError, match="exhausted 1000 rerolls"):
+            random_invertible_pair(4, MOD.n, Zeros())
+        assert len(draws) == 4 * 1001
 
     def test_injected_entries_are_reduced(self):
-        kt = keygen4(2, 8, candidates=[3, 5, 7, 11],
-                     entries=[v + MOD.n for v in KA.entries])
+        kt = keygen4(2, 8, EntryRng([v + MOD.n for v in KA.entries]),
+                     candidates=[3, 5, 7, 11])
         assert (kt.k, kt.k_inv) == (KA, KA_INV)
 
     def test_pair_runs_no_second_elimination(self, monkeypatch):

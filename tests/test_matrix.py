@@ -295,5 +295,5 @@ class TestRandomInvertible:
             def randrange(self, n):
                 return 0
 
-        with pytest.raises(GenerationError):
-            random_invertible(4, N, ZeroRng(), max_rerolls=3)
+        with pytest.raises(GenerationError, match="exhausted 1000 rerolls"):
+            random_invertible(4, N, ZeroRng())
