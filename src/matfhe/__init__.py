@@ -16,8 +16,7 @@ from .evaluate import (BinOp, CipherEnv, Const, DivisorNotInvertibleError,
                        ExprSyntaxError, Ref, UnboundInputError, eval_expr,
                        format_expr, he_add, he_div, he_mul, he_sub,
                        parse_expr)
-from .keys import (KeySet, KeyTuple, compose, key_tuple_from_matrix, keygen4,
-                   keygen8, keyset_gen)
+from .keys import KeySet, KeyTuple, compose, keygen4, keygen8, keyset_gen
 from .matrix import (Matrix, MismatchError, determinant, diagonal, identity,
                      inverse, is_invertible, mat_add, mat_mul, mat_sub,
                      random_invertible)

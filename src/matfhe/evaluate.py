@@ -174,8 +174,7 @@ def format_expr(node):
     """Render an AST back to formula text, fully parenthesized.
 
     The walk goes path by path, so an AST built in code must be a tree no
-    deeper than MAX_DEPTH operators: parse_expr's output always is, and
-    run_protocol refuses anything else.
+    deeper than MAX_DEPTH operators, as parse_expr's output always is.
     """
     if isinstance(node, Const):
         return str(node.value)

@@ -4,7 +4,7 @@ alone), and the multiplicative key sets built from them."""
 from collections import namedtuple
 from functools import reduce
 
-from .matrix import identity, inverse, mat_mul, random_invertible_pair
+from .matrix import identity, mat_mul, random_invertible_pair
 from .ring import ParameterError, _Record, generate_coprime_set
 
 KEY_DIMS = (4, 8)
@@ -54,11 +54,6 @@ class KeySet(_Record, namedtuple("KeySet", "modulus components master")):
             raise ValueError("all keys must share one modulus")
         if any(kt.dim != self.master.dim for kt in self.components):
             raise ValueError("all keys must share one dimension")
-
-
-def key_tuple_from_matrix(modulus, k):
-    """Pair a bare k with its inverse. Raises if k is not invertible."""
-    return KeyTuple(modulus, k, inverse(k))
 
 
 def compose(a, b):

@@ -20,8 +20,8 @@ from collections import namedtuple
 from enum import Enum
 
 from .cipher import _draw_enc4, dec, enc4, lock
-from .evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const, Ref, eval_expr,
-                       format_expr, parse_expr)
+from .evaluate import (BinOp, CipherEnv, Const, Ref, eval_expr, format_expr,
+                       parse_expr)
 from .formats import entries_text
 from .keys import compose
 from .ring import ParameterError, _Record
@@ -78,24 +78,16 @@ def _shown(name, whole):
 def _required_indices(formula, table_size):
     """Sorted table indices the formula reads, from one depth-first walk.
 
-    It refuses a tree more than MAX_DEPTH operators deep, or one reaching an
-    operator node twice: eval_expr and format_expr go path by path, so shared
-    subtrees take time exponential in the depth (leaves may repeat). Then,
-    over the leaves left to right: some input, no constant, and each name in
+    Over the leaves left to right: some input, no constant, and each name in
     first-appearance order is x1, x2, ... within the table. A name is
     checked as text, with no leading zero, before its digits are converted."""
-    leaves, seen, stack = [], set(), [(formula, 1)]
+    leaves, stack = [], [formula]
     while stack:
-        node, depth = stack.pop()
-        if not isinstance(node, BinOp):
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            stack += (node.right, node.left)
+        else:
             leaves.append(node)
-            continue
-        if depth > MAX_DEPTH:
-            raise ProtocolError(f"formula is more than {MAX_DEPTH} operators deep")
-        if id(node) in seen:
-            raise ProtocolError("formula reaches one operator node twice")
-        seen.add(id(node))
-        stack += ((node.right, depth + 1), (node.left, depth + 1))
     names = dict.fromkeys(leaf.name for leaf in leaves if isinstance(leaf, Ref))
     if not names:
         raise ProtocolError("formula references no data inputs")
@@ -106,8 +98,8 @@ def _required_indices(formula, table_size):
     indices = []
     for name in names:
         digits = name[1:]
-        if not (name.startswith("x") and digits.isascii()
-                and digits.isdecimal() and digits[0] != "0"):
+        if not (name.startswith("x") and digits.isdecimal()
+                and digits[0] != "0"):
             raise ProtocolError("data inputs must be named x1, x2, ...; "
                                 f"got {_shown(name, repr(name))}")
         # More digits than the table size has is outside the table; the
@@ -122,13 +114,12 @@ def _required_indices(formula, table_size):
 def run_protocol(formula, data, keyset, rng):
     """Run the full flow and return (result, transcript).
 
-    formula is an expression AST (or text, parsed here) over inputs named
-    x1..xt, 1-based into data. keyset needs exactly three components: the
+    formula is formula text over inputs named x1..xt, 1-based into data;
+    parse_expr bounds its depth. keyset needs exactly three components: the
     owner encrypts under components 1 and 2 composed, the mapper locks
     under component 3, and the user decrypts with the master.
     """
-    if isinstance(formula, str):
-        formula = parse_expr(formula)
+    formula = parse_expr(formula)
     required = _required_indices(formula, len(data))
     if len(keyset.components) != 3:
         raise ProtocolError("protocol needs a key set with exactly 3 components")

@@ -27,7 +27,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matfhe import analysis, cipher, keys, protocol
+from matfhe import analysis, cipher, protocol
 from matfhe.analysis import kpa_collision_estimate
 from matfhe.cipher import (Ciphertext, _draw_enc4, _draw_enc8, dec,
                            dec_diagonal, enc4, enc8, encrypt_value,
@@ -693,7 +693,6 @@ class TestKeyMatrixPair:
 
         for name in ("_eliminate", "inverse", "is_invertible"):
             monkeypatch.setattr(matrix, name, refuse)
-        monkeypatch.setattr(keys, "inverse", refuse)
         key = keygen8(2, 64, random.Random(3))
         assert key.verify()
         keyset = keyset_gen(4, 3, 2, 16, random.Random(3))

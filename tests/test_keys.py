@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from matfhe.keys import (KeySet, KeyTuple, key_tuple_from_matrix, keygen4,
-                         keygen8, keyset_gen)
+from matfhe.keys import KeySet, KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe.matrix import Matrix, identity, inverse, mat_mul
 
 from conftest import EntryRng
@@ -35,11 +34,6 @@ class TestKeyTuple:
         wrong = Matrix(4, 1157, KA.entries)
         with pytest.raises(ValueError):
             KeyTuple(MOD, wrong, KA_INV)
-
-    def test_key_tuple_from_matrix_inverts(self):
-        kt = key_tuple_from_matrix(MOD, KA)
-        assert kt.k_inv == KA_INV
-        assert kt.verify()
 
 
 class TestKeygen:

@@ -6,7 +6,8 @@ import pytest
 
 from matfhe.analysis import plaintext_candidates
 from matfhe.cipher import Ciphertext, dec
-from matfhe.evaluate import MAX_DEPTH, BinOp, Const, Ref
+from matfhe.evaluate import (MAX_DEPTH, BinOp, ExprSyntaxError, Ref,
+                             format_expr)
 from matfhe.keys import KeyTuple, keyset_gen
 from matfhe.matrix import mat_mul
 from matfhe.ring import ParameterError
@@ -110,7 +111,8 @@ class TestRunProtocol:
             width = rng.randrange(1, 5)
             data = tuple(rng.randrange(n) for _ in range(width))
             formula = random_formula(rng, 4, width)
-            result, transcript = run_protocol(formula, data, ks, rng)
+            result, transcript = run_protocol(format_expr(formula), data,
+                                              ks, rng)
             assert result == plain_eval(formula, data, n)
             assert audit_transcript(transcript, ks) == []
             passes += 1
@@ -144,8 +146,7 @@ class TestRunProtocol:
             run_protocol(formula, table, make_keyset(11), random.Random(12))
 
     @pytest.mark.parametrize("formula", [
-        "x01", "x1+x01", "x00", Ref("x\u0661"), Ref("x\u00b2"), Ref("x+1"),
-        Ref("x")])
+        "x01", "x1+x01", "x00", "x"])
     def test_only_canonical_input_names_are_bound(self, monkeypatch, formula):
         # Operands are bound as x1, x2, ...: the gate refuses any other
         # spelling of an index before the owner draws coins or encrypts.
@@ -185,55 +186,54 @@ class TestRunProtocol:
                                  random.Random(12))
         assert result == 5 * len(formula.split("+"))
 
-    def test_ast_at_the_depth_limit_with_a_shared_leaf_runs(self):
-        leaf = node = Ref("x1")
-        for _ in range(MAX_DEPTH):
-            node = BinOp("+", node, leaf)
-        result, _ = run_protocol(node, (5,), make_keyset(14),
-                                 random.Random(15))
-        assert result == 5 * (MAX_DEPTH + 1)
-
-    @staticmethod
-    def chain(depth):
-        node = Ref("x1")
-        for _ in range(depth):
-            node = BinOp("+", node, Ref("x1"))
-        return node
-
-    def test_ast_at_the_depth_limit_runs(self):
-        result, transcript = run_protocol(
-            self.chain(MAX_DEPTH), (5,), make_keyset(14), random.Random(15))
-        assert result == 5 * (MAX_DEPTH + 1)
+    @pytest.mark.parametrize("formula, expected", [
+        ("+".join(["x1"] * (MAX_DEPTH + 1)), 5 * (MAX_DEPTH + 1)),
+        ("x1*(" + "+".join(["x1"] * MAX_DEPTH) + ")", 25 * MAX_DEPTH)],
+        ids=("chain", "nested"))
+    def test_formula_at_the_depth_limit_runs(self, formula, expected):
+        # MAX_DEPTH operators deep on either side, the deepest text parsed.
+        ks = make_keyset(14)
+        result, transcript = run_protocol(formula, (5,), ks,
+                                          random.Random(15))
+        assert result == expected % ks.modulus.n
         assert serialize_transcript(transcript).endswith(
             f"result\t{result}\n")
 
     @pytest.mark.parametrize("depth", (MAX_DEPTH + 1, 1500))
-    def test_ast_past_the_depth_limit_is_refused(self, depth):
-        # Deeper on either side: the check walks every branch.
+    def test_formula_past_the_depth_limit_is_refused(self, depth):
+        # Deeper on either side, refused by the parser before any draw.
         ks = make_keyset(16)
-        for node in (self.chain(depth),
-                     BinOp("*", Ref("x1"), self.chain(depth - 1))):
-            with pytest.raises(ProtocolError, match="operators deep"):
-                run_protocol(node, (5,), ks, random.Random(17))
-
-    def test_shared_operator_node_is_refused(self):
-        # Reached twice on different levels, and below a leaf sibling.
-        shared = BinOp("+", Ref("x1"), Ref("x2"))
-        # 41 nodes, 2^40 paths: walked path by path it would run for days.
-        dag = Ref("x1")
-        for _ in range(40):
-            dag = BinOp("+", dag, dag)
-        ks = make_keyset(18)
-        for node in (BinOp("*", shared, BinOp("-", Ref("x1"), shared)),
-                     BinOp("*", Ref("x2"), BinOp("-", shared, shared)), dag):
-            with pytest.raises(ProtocolError, match="operator node twice"):
-                run_protocol(node, (5, 7), ks, random.Random(19))
+        for formula in ("+".join(["x1"] * (depth + 1)),
+                        "x1*(" + "+".join(["x1"] * depth) + ")"):
+            rng = random.Random(17)
+            with pytest.raises(ExprSyntaxError,
+                               match=f"at most {MAX_DEPTH} levels"):
+                run_protocol(formula, (5,), ks, rng)
+            assert rng.random() == random.Random(17).random()
 
     def test_shared_leaf_runs(self):
-        r = Ref("x1")
-        result, _ = run_protocol(BinOp("*", r, BinOp("+", r, r)), (5,),
-                                 make_keyset(20), random.Random(21))
+        result, _ = run_protocol("x1*(x1+x1)", (5,), make_keyset(20),
+                                 random.Random(21))
         assert result == 50
+
+    @pytest.mark.parametrize("formula", [
+        BinOp("+", Ref("x1"), Ref("x2")), Ref("x1")], ids=("binop", "ref"))
+    def test_ast_formula_is_refused_before_any_draw(self, formula):
+        # The protocol announces formula text; a built tree is not parsed.
+        rng = random.Random(22)
+        with pytest.raises(TypeError):
+            run_protocol(formula, (5, 6), make_keyset(23), rng)
+        assert rng.random() == random.Random(22).random()
+
+    @pytest.mark.parametrize("formula", ["x\u0661", "x\u00b2", "x1+x\u0663"])
+    def test_non_ascii_digit_names_are_refused_before_any_draw(self,
+                                                                formula):
+        # The gate checks names as ASCII text; the tokenizer refuses other
+        # digits first, so no such name is ever bound to a table entry.
+        rng = random.Random(12)
+        with pytest.raises(ExprSyntaxError):
+            run_protocol(formula, (5, 6), make_keyset(11), rng)
+        assert rng.random() == random.Random(12).random()
 
     def test_keyset_size_enforced(self):
         rng = random.Random(13)
