@@ -153,10 +153,8 @@ def lemma7_check(x, key, rnd, i):
     ct = enc4(x, key, rnd)
     diag = diagonal(encryption_diagonal(x, modulus, rnd), modulus.n)
     y_mat = mat_mul(mat_mul(witness, diag), witness)
-    for r in range(4):
-        for c in range(4):
-            if r != c and y_mat[r, c] != 0:
-                raise AssertionError("conjugated diagonal is not diagonal")
+    if y_mat != diagonal([y_mat[j, j] for j in range(4)], modulus.n):
+        raise AssertionError("conjugated diagonal is not diagonal")
     y = y_mat[0, 0]
     related = compose(KeyTuple(modulus, witness, witness), key)
     holds = dec(ct, related) == y

@@ -157,35 +157,27 @@ def cmd_bench(args):
     x2 = rng.randrange(n)
     c1 = enc4(x1, key, rng)
     c2 = enc4(x2, key, rng)
-    a_body, b_body = c1.body, c2.body
-    reps = args.reps
-
-    def median_call_time(fn, fn_args, calls):
-        return median(_one_batch(fn, fn_args, calls) for _ in range(reps))
-
-    # add and mul are timed on the ciphertext matrices themselves (the
-    # homomorphic wrappers add identical constant overhead to both sides)
-    # and their batches alternate so a host frequency shift mid-run lands
-    # on both operations instead of skewing their ratio.
-    add_times = []
-    mul_times = []
-    for _ in range(reps):
-        add_times.append(_one_batch(mat_add, (a_body, b_body), 3000))
-        mul_times.append(_one_batch(mat_mul, (a_body, b_body), 700))
-    rows = [
-        ("keygen", median_call_time(keygen4, (args.m, args.bits, rng), 1)),
-        ("coins", median_call_time(next, (_draw_enc4(
-            itertools.repeat(x1), n, key.modulus.m, rng),), 50)),
-        ("enc", median_call_time(enc4, (x1, key, rng), 50)),
-        ("dec", median_call_time(dec, (c1, key), 50)),
-        ("add", median(add_times)),
-        ("mul", median(mul_times)),
-        ("trial", median_call_time(kpa_collision_estimate,
-                                   (key, x1, 1000, rng), 1) / 1000),
-    ]
+    # Each rep times every row once, in order, so a host frequency shift
+    # mid-run lands on all rows instead of skewing their ratios (criterion
+    # 10's mul/add above all). add and mul are timed on the ciphertext
+    # matrices themselves: the homomorphic wrappers add identical constant
+    # overhead to both sides.
+    rows = (
+        ("keygen", keygen4, (args.m, args.bits, rng), 1, 1),
+        ("coins", next, (_draw_enc4(
+            itertools.repeat(x1), n, key.modulus.m, rng),), 50, 1),
+        ("enc", enc4, (x1, key, rng), 50, 1),
+        ("dec", dec, (c1, key), 50, 1),
+        ("add", mat_add, (c1.body, c2.body), 3000, 1),
+        ("mul", mat_mul, (c1.body, c2.body), 700, 1),
+        ("trial", kpa_collision_estimate, (key, x1, 1000, rng), 1, 1000),
+    )
+    times = [[_one_batch(fn, fn_args, calls) / ops
+              for _, fn, fn_args, calls, ops in rows]
+             for _ in range(args.reps)]
     print("operation\tmedian_us")
-    for name, seconds in rows:
-        print(f"{name}\t{seconds * 1e6:.3f}")
+    for (name, *_), row_times in zip(rows, zip(*times)):
+        print(f"{name}\t{median(row_times) * 1e6:.3f}")
     return 0
 
 

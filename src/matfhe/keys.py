@@ -14,17 +14,13 @@ class KeyTuple(_Record, namedtuple("KeyTuple", "modulus k k_inv")):
     """Secret key: the modulus with its factors, plus k and its inverse."""
 
     def __new__(cls, modulus, k, k_inv):
-        self = tuple.__new__(cls, (modulus, k, k_inv))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if self.k.dim not in KEY_DIMS:
+        if k.dim not in KEY_DIMS:
             raise ValueError(f"key dimension must be one of {KEY_DIMS}")
-        if self.k.dim != self.k_inv.dim:
+        if k.dim != k_inv.dim:
             raise ValueError("key pair must share one dimension")
-        if self.k.modulus != self.modulus.n or self.k_inv.modulus != self.modulus.n:
+        if k.modulus != modulus.n or k_inv.modulus != modulus.n:
             raise ValueError("key matrices must be taken mod n")
+        return tuple.__new__(cls, (modulus, k, k_inv))
 
     @property
     def dim(self):
@@ -43,17 +39,13 @@ class KeySet(_Record, namedtuple("KeySet", "modulus components master")):
     """
 
     def __new__(cls, modulus, components, master):
-        self = tuple.__new__(cls, (modulus, components, master))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if len(self.components) < 2:
+        if len(components) < 2:
             raise ValueError("need at least two component keys")
-        if any(kt.modulus != self.modulus for kt in self.components + (self.master,)):
+        if any(kt.modulus != modulus for kt in components + (master,)):
             raise ValueError("all keys must share one modulus")
-        if any(kt.dim != self.master.dim for kt in self.components):
+        if any(kt.dim != master.dim for kt in components):
             raise ValueError("all keys must share one dimension")
+        return tuple.__new__(cls, (modulus, components, master))
 
 
 def compose(a, b):

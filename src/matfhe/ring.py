@@ -15,8 +15,9 @@ from functools import cached_property
 class _Record:
     """Mixin for the package's named-tuple records: equal only to a record
     of its own type, hashed as its field tuple, closed to assignment. A
-    record with checks runs its __post_init__ from __new__, and _make (so
-    _replace) builds through the class, so no record skips them."""
+    record with checks makes them on its arguments in __new__ and builds the
+    tuple only after they pass, and _make (so _replace) builds through the
+    class, so no record skips them."""
 
     __slots__ = ()
 
@@ -107,33 +108,27 @@ class RingModulus(_Record, namedtuple("RingModulus", "m bits p q f n")):
     """
 
     def __new__(cls, m, bits, p, q, f, n):
-        self = tuple.__new__(cls, (m, bits, p, q, f, n))
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if (self.p is None) != (self.q is None):
+        if (p is None) != (q is None):
             raise ValueError("p and q must be given together")
-        if len(self.f) != self.m:
+        if len(f) != m:
             raise ValueError("need m factors")
-        if self.p is not None:
-            if len(self.p) != self.m or len(self.q) != self.m:
+        if p is not None:
+            if len(p) != m or len(q) != m:
                 raise ValueError("need m factors on each side")
-            parts = self.p + self.q
-            if self.f != tuple(a * b for a, b in zip(self.p, self.q)):
+            if f != tuple(a * b for a, b in zip(p, q)):
                 raise ValueError("f_i must equal p_i * q_i")
-        else:
-            parts = self.f
+        parts = f if p is None else p + q
         if any(v < 3 or v % 2 == 0 for v in parts):
             raise ValueError("factors must be odd and >= 3")
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 if math.gcd(parts[i], parts[j]) != 1:
                     raise ValueError("factors must be pairwise coprime")
-        if self.n != math.prod(self.f):
+        if n != math.prod(f):
             raise ValueError("n must be the product of the f_i")
+        return tuple.__new__(cls, (m, bits, p, q, f, n))
 
     @property
     def has_split(self):
@@ -149,7 +144,7 @@ class RingModulus(_Record, namedtuple("RingModulus", "m bits p q f n")):
         return tuple(basis) + ((1 - sum(basis)) % n,)
 
 
-def generate_coprime_set(m, bits, rng=None, candidates=None):
+def generate_coprime_set(m, bits, rng, candidates=None):
     """Draw 2m pairwise coprime odd numbers and assemble a RingModulus.
 
     The draws come from one source, read lazily: by default rng's odd
@@ -164,8 +159,6 @@ def generate_coprime_set(m, bits, rng=None, candidates=None):
         raise ParameterError("m must be >= 1")
     if bits < 8 or bits % 2:
         raise ParameterError("security parameter must be an even number >= 8")
-    if candidates is None and rng is None:
-        raise ValueError("need an rng when no candidates are injected")
     if candidates is None:
         lo, hi = 1 << (bits // 2 - 1), 1 << (bits // 2)
         candidates = (rng.randrange(lo, hi) | 1 for _ in itertools.count())

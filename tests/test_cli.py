@@ -524,3 +524,23 @@ def test_parser_reuse_keeps_usage_errors(capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("usage: matfhe keygen")
+
+
+# --- in-process: bench through a batch timer that logs what it times ---
+
+
+def test_bench_reps_time_every_row_in_order(monkeypatch, capsys):
+    timed = []
+
+    def log_batch(fn, fn_args, calls):
+        timed.append(fn)
+        return 1e-6
+
+    monkeypatch.setattr(cli, "_one_batch", log_batch)
+    assert cli.main(["bench", "--lambda", "12", "--reps", "2"]) == 0
+    rows = [cli.keygen4, next, cli.enc4, cli.dec, cli.mat_add, cli.mat_mul,
+            cli.kpa_collision_estimate]
+    assert timed == rows * 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in lines] == [
+        "operation", "keygen", "coins", "enc", "dec", "add", "mul", "trial"]

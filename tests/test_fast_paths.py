@@ -260,11 +260,11 @@ class TestRawDraws:
     # at N = 65, 1 in 64 6-bit words at N = 63, and 44% of 11-bit words
     # at N = 1155, the collision estimate's reference modulus.
     MODULI = {
-        "N15": generate_coprime_set(1, 8, candidates=(3, 5)),
-        "N21": generate_coprime_set(1, 8, candidates=(3, 7)),
-        "N63": generate_coprime_set(1, 8, candidates=(7, 9)),
-        "N65": generate_coprime_set(1, 8, candidates=(5, 13)),
-        "N1155": generate_coprime_set(2, 8, candidates=(3, 5, 7, 11)),
+        "N15": generate_coprime_set(1, 8, None, candidates=(3, 5)),
+        "N21": generate_coprime_set(1, 8, None, candidates=(3, 7)),
+        "N63": generate_coprime_set(1, 8, None, candidates=(7, 9)),
+        "N65": generate_coprime_set(1, 8, None, candidates=(5, 13)),
+        "N1155": generate_coprime_set(2, 8, None, candidates=(3, 5, 7, 11)),
         **{f"l256-m{m}": generate_coprime_set(m, 256, random.Random(m))
            for m in (1, 2, 3)},
     }
@@ -486,7 +486,7 @@ class TestTraceScreen:
         # At both dims the target and the trials that pass the screen are
         # folded from the stream's own tuples, the target first; no trial
         # is folded twice and none is rebuilt.
-        modulus = generate_coprime_set(1, 8, candidates=(3, 5))
+        modulus = generate_coprime_set(1, 8, None, candidates=(3, 5))
         for dim, name in ((4, "_draw_enc4"), (8, "_draw_enc8")):
             draw, yielded, folded = getattr(analysis, name), [], []
 
@@ -520,7 +520,7 @@ class TestTraceScreen:
            st.permutations(SMALL_PRIMES), st.sampled_from((4, 8)),
            st.integers(min_value=0, max_value=2**32))
     def test_trace_is_taken_from_the_blinds(self, m, primes, dim, seed):
-        modulus = generate_coprime_set(m, 8, candidates=primes)
+        modulus = generate_coprime_set(m, 8, None, candidates=primes)
         n = modulus.n
         rng = random.Random(seed)
         x = rng.randrange(n)
@@ -541,7 +541,7 @@ class TestTraceScreen:
         # exactly when the blinds do. Checked on the target's blind r0, on
         # fresh draws, and on the blinds nearest r0 + N/2, where an even N
         # would let 2r and 2r0 meet.
-        modulus = generate_coprime_set(m, 8, candidates=primes)
+        modulus = generate_coprime_set(m, 8, None, candidates=primes)
         n = modulus.n
         assert n % 2 == 1
         rng = random.Random(seed)

@@ -16,7 +16,7 @@ from matfhe.ring import (GenerationError, NonCoprimeModuliError,
                          generate_coprime_set, mod_inverse)
 
 
-def two_branch_coprime_set(m, bits, rng=None, candidates=None):
+def two_branch_coprime_set(m, bits, rng, candidates=None):
     """generate_coprime_set with one draw loop per source: a next() branch
     for injected candidates and an rng branch. The oracle for the one-stream
     loop."""
@@ -159,20 +159,20 @@ class TestRingModulus:
 
 class TestGenerateCoprimeSet:
     def test_injected_candidates_reproduce_reference_modulus(self):
-        mod = generate_coprime_set(2, 8, candidates=[3, 5, 7, 11])
+        mod = generate_coprime_set(2, 8, None, candidates=[3, 5, 7, 11])
         assert mod.p == (3, 5)
         assert mod.q == (7, 11)
         assert mod.f == (21, 55)
         assert mod.n == 1155
 
     def test_non_coprime_candidates_are_skipped(self):
-        mod = generate_coprime_set(1, 8, candidates=[3, 9, 6, 5])
+        mod = generate_coprime_set(1, 8, None, candidates=[3, 9, 6, 5])
         assert mod.p == (3,)
         assert mod.q == (5,)
 
     def test_candidate_exhaustion_raises(self):
         with pytest.raises(GenerationError):
-            generate_coprime_set(2, 8, candidates=[3, 5, 7])
+            generate_coprime_set(2, 8, None, candidates=[3, 5, 7])
 
     def test_seeded_generation_is_deterministic(self):
         a = generate_coprime_set(2, 16, rng=random.Random(7))
@@ -200,8 +200,6 @@ class TestGenerateCoprimeSet:
             generate_coprime_set(2, 6, rng=random.Random(1))
         with pytest.raises(ValueError):
             generate_coprime_set(2, 9, rng=random.Random(1))
-        with pytest.raises(ValueError):
-            generate_coprime_set(2, 16)
 
 
 class TestOneCandidateStream:
@@ -235,8 +233,8 @@ class TestOneCandidateStream:
     def test_candidates_equal_the_two_branch_loop(self, m, values):
         for wrap in (list, iter, lambda v: (x for x in v)):
             source, twin = wrap(values), wrap(values)
-            got = outcome(generate_coprime_set, m, 8, candidates=source)
-            want = outcome(two_branch_coprime_set, m, 8, candidates=twin)
+            got = outcome(generate_coprime_set, m, 8, None, candidates=source)
+            want = outcome(two_branch_coprime_set, m, 8, None, candidates=twin)
             assert got == want
             if wrap is not list:
                 assert list(source) == list(twin)
