@@ -134,7 +134,11 @@ def parse_expr(text):
         kind, value, _ = tok = tokens[pos]
         pos += 1
         if kind == "int":
-            return Const(int(value)), 0
+            try:
+                return Const(int(value)), 0
+            except ValueError:  # more digits than the interpreter converts
+                raise ExprSyntaxError(tok[2], "a shorter integer",
+                                      f"{len(value)} digits") from None
         if kind == "name":
             return Ref(value), 0
         if value != "(":

@@ -9,9 +9,11 @@ ciphertext files carry only the public modulus N.
 
 Writing serializes first, so a refused object leaves the file as it was,
 then overwrites the file in place (symlinks and hard links keep sharing
-it) and cuts it to length. Reading checks each integer line whole (ASCII
-digits and commas, no empty entry); a refused line is walked entry by
-entry only to name the bad entry.
+it) and cuts it to length. Reading checks every line name in order, and
+that none is missing or left over, before any value (in a key set, the
+pair names once l is read). It checks each integer line whole (ASCII
+digits and commas, no empty entry); a refused line, or one with an integer
+too long for int(), is walked entry by entry only to name the bad entry.
 """
 
 import os
@@ -50,154 +52,145 @@ def matrix_from_text(text, dim, modulus):
 def _parse_int(text, what):
     if not (text.isdigit() and text.isascii()):
         raise MalformedFileError(f"bad {what}: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise MalformedFileError(f"bad {what}: {len(text)} digits") from None
 
 
 def _parse_int_list(text, what):
     parts = text.split(",")
-    if not (text.isascii() and text.encode("ascii").replace(b",", b"").isdigit()
+    if (text.isascii() and text.encode("ascii").replace(b",", b"").isdigit()
             and "" not in parts):
-        for part in parts:
-            _parse_int(part, what)  # raises on the first bad entry
-    return tuple(map(int, parts))
+        try:
+            return tuple(map(int, parts))
+        except ValueError:  # an entry too long to convert, named below
+            pass
+    return tuple(_parse_int(part, what) for part in parts)  # names the bad entry
 
 
-class _LineReader:
-    def __init__(self, text, kind):
-        if not text.endswith("\n"):
-            raise MalformedFileError("missing final newline")
-        self.lines = text[:-1].split("\n")
-        self.pos = 0
-        header = self.next_raw()
-        expected = f"MATFHE-{kind} {_VERSION}"
-        if header != expected:
-            raise MalformedFileError(f"bad header {header!r}, expected {expected!r}")
-
-    def next_raw(self):
-        if self.pos >= len(self.lines):
-            raise MalformedFileError("unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def next_field(self, name):
-        line = self.next_raw()
-        prefix = name + "="
-        if not line.startswith(prefix):
-            raise MalformedFileError(f"expected {name}= line, got {line!r}")
-        return line[len(prefix):]
-
-    def next_dim(self, what):
-        dim = _parse_int(self.next_field("dim"), "dim")
-        if dim not in KEY_DIMS:
-            raise MalformedFileError(f"bad {what} dimension {dim}")
-        return dim
-
-    def finish(self):
-        if self.pos != len(self.lines):
-            raise MalformedFileError(f"trailing data: {self.lines[self.pos]!r}")
+def _parse_dim(text, what):
+    dim = _parse_int(text, "dim")
+    if dim not in KEY_DIMS:
+        raise MalformedFileError(f"bad {what} dimension {dim}")
+    return dim
 
 
-def _modulus_lines(modulus, secret):
-    lines = [f"m={modulus.m}", f"lambda={modulus.bits}"]
-    if secret:
-        lines.append("f=" + ",".join(str(v) for v in modulus.f))
-    lines.append(f"N={modulus.n}")
+# Line names after the header, in file order. A key set file holds the key
+# names up to dim, then l, then the pairs of _pair_names(l).
+_KEY = ("m", "lambda", "f", "N", "dim", "k", "kinv")
+_CT = ("m", "lambda", "N", "dim", "c")
+_KEYSET = _KEY[:5] + ("l",)
+
+
+def _pair_names(count):
+    """k, kinv, then k1, kinv1 up to k{count}, kinv{count}, drawn lazily."""
+    for i in range(count + 1):
+        for name in _KEY[5:]:
+            yield f"{name}{i or ''}"
+
+
+def _text(kind, names, values):
+    fields = zip(names, values, strict=True)
+    return f"MATFHE-{kind} {_VERSION}\n" + "".join(f"{n}={v}\n" for n, v in fields)
+
+
+def _lines(text, kind):
+    """The lines after the header, once the final newline and the header
+    are checked."""
+    if not text.endswith("\n"):
+        raise MalformedFileError("missing final newline")
+    header, *lines = text[:-1].split("\n")
+    expected = f"MATFHE-{kind} {_VERSION}"
+    if header != expected:
+        raise MalformedFileError(f"bad header {header!r}, expected {expected!r}")
     return lines
 
 
-def _read_modulus(reader, secret):
-    m = _parse_int(reader.next_field("m"), "m")
-    bits = _parse_int(reader.next_field("lambda"), "lambda")
-    f = _parse_int_list(reader.next_field("f"), "factor") if secret else None
-    n = _parse_int(reader.next_field("N"), "N")
-    return m, bits, f, n
+def _values(lines, names):
+    """The text after each name= prefix, once each line is checked to carry
+    the next name and no line is missing or left over. names is drawn only
+    while lines remain, so it may be lazy and longer than any file."""
+    values = []
+    for name in names:
+        if len(values) == len(lines):
+            raise MalformedFileError("unexpected end of file")
+        line = lines[len(values)]
+        if not line.startswith(name + "="):
+            raise MalformedFileError(f"expected {name}= line, got {line!r}")
+        values.append(line[len(name) + 1:])
+    if len(values) < len(lines):
+        raise MalformedFileError(f"trailing data: {lines[len(values)]!r}")
+    return values
 
 
-def _read_key_header(reader):
+def _key_head(modulus, dim):
+    return modulus.m, modulus.bits, ",".join(map(str, modulus.f)), modulus.n, dim
+
+
+def _parse_key_head(m, bits, f, n, dim):
     """The secret modulus and the key dimension opening key and key set
-    files, each checked as the file is read."""
-    m, bits, f, n = _read_modulus(reader, secret=True)
+    files."""
+    m, bits = _parse_int(m, "m"), _parse_int(bits, "lambda")
+    f, n = _parse_int_list(f, "factor"), _parse_int(n, "N")
     try:
         modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
     except ValueError as err:
         raise MalformedFileError(str(err)) from err
-    return modulus, reader.next_dim("key")
+    return modulus, _parse_dim(dim, "key")
 
 
-def _key_pair_lines(key, suffix=""):
-    return [f"k{suffix}=" + entries_text(key.k),
-            f"kinv{suffix}=" + entries_text(key.k_inv)]
-
-
-def _read_key_pair(reader, modulus, dim, suffix=""):
-    """The k{suffix}= and kinv{suffix}= lines as a KeyTuple."""
-    k = matrix_from_text(reader.next_field(f"k{suffix}"), dim, modulus.n)
-    k_inv = matrix_from_text(reader.next_field(f"kinv{suffix}"), dim, modulus.n)
-    return KeyTuple(modulus, k, k_inv)
+def _key_pairs(modulus, dim, texts):
+    mats = [matrix_from_text(text, dim, modulus.n) for text in texts]
+    return [KeyTuple(modulus, k, k_inv) for k, k_inv in zip(mats[::2], mats[1::2])]
 
 
 def serialize_key(key):
-    lines = [f"MATFHE-KEY {_VERSION}"]
-    lines += _modulus_lines(key.modulus, secret=True)
-    lines.append(f"dim={key.dim}")
-    lines += _key_pair_lines(key)
-    return "\n".join(lines) + "\n"
+    return _text("KEY", _KEY, (*_key_head(key.modulus, key.dim),
+                               entries_text(key.k), entries_text(key.k_inv)))
 
 
 def parse_key(text):
-    reader = _LineReader(text, "KEY")
-    key = _read_key_pair(reader, *_read_key_header(reader))
-    reader.finish()
-    return key
+    *head, k, k_inv = _values(_lines(text, "KEY"), _KEY)
+    return _key_pairs(*_parse_key_head(*head), (k, k_inv))[0]
 
 
 def serialize_ciphertext(ct, modulus):
     """Ciphertext file. Stores the public N only, never the factors."""
     if ct.modulus != modulus.n:
         raise ValueError("ciphertext and modulus disagree")
-    lines = [f"MATFHE-CT {_VERSION}"]
-    lines += _modulus_lines(modulus, secret=False)
-    lines.append(f"dim={ct.dim}")
-    lines.append("c=" + entries_text(ct.body))
-    return "\n".join(lines) + "\n"
+    return _text("CT", _CT, (modulus.m, modulus.bits, modulus.n, ct.dim,
+                             entries_text(ct.body)))
 
 
 def parse_ciphertext(text):
     """Returns (Ciphertext, m, bits, n). Factors are not in the file."""
-    reader = _LineReader(text, "CT")
-    m, bits, _, n = _read_modulus(reader, secret=False)
-    dim = reader.next_dim("ciphertext")
-    body = matrix_from_text(reader.next_field("c"), dim, n)
-    reader.finish()
+    m, bits, n, dim, c = _values(_lines(text, "CT"), _CT)
+    m, bits, n = _parse_int(m, "m"), _parse_int(bits, "lambda"), _parse_int(n, "N")
+    body = matrix_from_text(c, _parse_dim(dim, "ciphertext"), n)
     return Ciphertext(body), m, bits, n
 
 
 def serialize_keyset(keyset):
-    lines = [f"MATFHE-KEYSET {_VERSION}"]
-    lines += _modulus_lines(keyset.modulus, secret=True)
-    lines.append(f"dim={keyset.master.dim}")
-    lines.append(f"l={len(keyset.components)}")
-    lines += _key_pair_lines(keyset.master)
-    for i, kt in enumerate(keyset.components, start=1):
-        lines += _key_pair_lines(kt, i)
-    return "\n".join(lines) + "\n"
+    pairs, count = (keyset.master, *keyset.components), len(keyset.components)
+    return _text("KEYSET", _KEYSET + tuple(_pair_names(count)),
+                 (*_key_head(keyset.modulus, keyset.master.dim), count,
+                  *(entries_text(m) for kt in pairs for m in (kt.k, kt.k_inv))))
 
 
 def parse_keyset(text):
-    reader = _LineReader(text, "KEYSET")
-    modulus, dim = _read_key_header(reader)
-    count = _parse_int(reader.next_field("l"), "l")
+    lines = _lines(text, "KEYSET")
+    *head, count = _values(lines[:len(_KEYSET)], _KEYSET)
+    modulus, dim = _parse_key_head(*head)
+    count = _parse_int(count, "l")
     if count < 2:
         raise MalformedFileError("key set needs at least two components")
-    master = _read_key_pair(reader, modulus, dim)
-    components = tuple(_read_key_pair(reader, modulus, dim, i)
-                       for i in range(1, count + 1))
-    reader.finish()
+    values = _values(lines[len(_KEYSET):], _pair_names(count))
+    master, *components = _key_pairs(modulus, dim, values)
     if master != reduce(compose, components):
         raise MalformedFileError(
             "master key is not the product of the components in file order")
-    return KeySet(modulus, components, master)
+    return KeySet(modulus, tuple(components), master)
 
 
 def write_text(path, text):

@@ -4,7 +4,7 @@ alone), and the multiplicative key sets built from them."""
 from collections import namedtuple
 from functools import reduce
 
-from .matrix import identity, mat_mul, random_invertible_pair
+from .matrix import identity, mat_mul, random_invertible
 from .ring import ParameterError, _Record, generate_coprime_set
 
 KEY_DIMS = (4, 8)
@@ -56,7 +56,7 @@ def compose(a, b):
 
 def _keygen(dim, m, bits, rng, candidates):
     modulus = generate_coprime_set(m, bits, rng, candidates=candidates)
-    return KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
+    return KeyTuple(modulus, *random_invertible(dim, modulus.n, rng))
 
 
 def keygen4(m, bits, rng, candidates=None):
@@ -80,6 +80,6 @@ def keyset_gen(dim, count, m, bits, rng):
     if count < 2:
         raise ParameterError("need at least two component keys")
     modulus = generate_coprime_set(m, bits, rng)
-    components = [KeyTuple(modulus, *random_invertible_pair(dim, modulus.n, rng))
+    components = [KeyTuple(modulus, *random_invertible(dim, modulus.n, rng))
                   for _ in range(count)]
     return KeySet(modulus, tuple(components), reduce(compose, components))

@@ -252,11 +252,6 @@ def inverse(a):
 
 
 def random_invertible(dim, modulus, rng):
-    """Random invertible matrix mod modulus: random_invertible_pair's k."""
-    return random_invertible_pair(dim, modulus, rng)[0]
-
-
-def random_invertible_pair(dim, modulus, rng):
     """Random invertible k mod modulus with k^-1, from one elimination pass.
 
     Entries are drawn row-major with rng.randrange(modulus), its only rng

@@ -111,6 +111,14 @@ class TestParser:
             assert info.value.offset == offset
             assert info.value.expected == "operator or end of input"
 
+    def test_integer_too_long_to_convert_is_a_syntax_error(self):
+        digits = "7" * 5000  # past int()'s default limit of 4,300 digits
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("a+" + digits)
+        assert info.value.offset == 2
+        assert info.value.found == "5000 digits"
+        assert len(str(info.value)) < 200
+
     def test_format_expr_round_trips(self):
         rng = random.Random(101)
         for _ in range(200):

@@ -39,8 +39,7 @@ from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe import matrix
 from matfhe.matrix import (MismatchError, diagonal, identity, inverse,
-                           mat_mul, random_invertible,
-                           random_invertible_pair)
+                           mat_mul, random_invertible)
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
                              MappedResult, MaskedOperand, Message, Role,
                              Transcript, run_protocol, serialize_transcript)
@@ -166,7 +165,7 @@ class TestColumnScaledEncryption:
         key, rng = make_key(m, 8, 64, 50 + m)
         others = KeyTuple(key.modulus, key.k,
                           random_invertible(8, key.modulus.n,
-                                            random.Random(m)))
+                                            random.Random(m))[0])
         assert not others.verify()
         for _ in range(10):
             x = rng.randrange(key.modulus.n)
@@ -183,7 +182,7 @@ class TestDim4Encryption:
         key, rng = make_key(m, 4, 64, m)
         n = key.modulus.n
         others = KeyTuple(key.modulus, key.k,
-                          random_invertible(4, n, random.Random(m)))
+                          random_invertible(4, n, random.Random(m))[0])
         assert not others.verify()
         parsed = parse_key(serialize_key(key))
         for kt in (key, others, parsed):
@@ -562,7 +561,7 @@ class TestTopLeftDecryption:
         modulus = key.modulus
         x, _, a = fresh(key, rng)
         y, _, b = fresh(key, rng)
-        k2 = random_invertible(key.dim, modulus.n, rng)
+        k2 = random_invertible(key.dim, modulus.n, rng)[0]
         other = KeyTuple(modulus, k2, inverse(k2))
         composed = KeyTuple(modulus, mat_mul(key.k, k2),
                             mat_mul(inverse(k2), key.k_inv))
@@ -583,7 +582,7 @@ class TestTopLeftDecryption:
 class TestDecMismatch:
     def test_dim_differs_from_key(self):
         key4, rng = make_key(2, 4, 16, 1)
-        k = random_invertible(8, key4.modulus.n, rng)
+        k = random_invertible(8, key4.modulus.n, rng)[0]
         key8 = KeyTuple(key4.modulus, k, inverse(k))
         ct8 = enc8(3, key8, rng)
         with pytest.raises(MismatchError):
@@ -634,8 +633,8 @@ def normalized_screen_pair(dim, n, rng):
 
 class TestKeyMatrixPair:
     """Key generation's row screen yields k and k_inv from one elimination
-    pass and one modular inverse, and draws from the rng exactly as
-    random_invertible and as the screen that normalizes every pivot."""
+    pass and one modular inverse, and draws from the rng exactly as the
+    screen that normalizes every pivot."""
 
     # Moduli with many non-units, so rows are rejected and pivots leave the
     # diagonal (11025 = 9 * 25 * 49 rejects the most); the last two are
@@ -648,13 +647,12 @@ class TestKeyMatrixPair:
     def test_pair_is_random_invertible_and_its_inverse(self, dim):
         for n in self.MODULI:
             for seed in range(25):
-                rng, twin, oracle = (random.Random(seed) for _ in range(3))
-                mat, inv = random_invertible_pair(dim, n, rng)
-                assert mat == random_invertible(dim, n, twin)
+                rng, oracle = random.Random(seed), random.Random(seed)
+                mat, inv = random_invertible(dim, n, rng)
                 assert inv == inverse(mat)
                 assert (mat.entries, inv.entries) == \
                     normalized_screen_pair(dim, n, oracle)
-                assert rng.random() == twin.random() == oracle.random()
+                assert rng.random() == oracle.random()
 
     @pytest.mark.parametrize("gen, bits", ((keygen8, 256), (keygen4, 16)))
     def test_one_modular_inverse_per_pair(self, monkeypatch, gen, bits):
@@ -679,7 +677,7 @@ class TestKeyMatrixPair:
                 return 0
 
         with pytest.raises(GenerationError, match="exhausted 1000 rerolls"):
-            random_invertible_pair(4, MOD.n, Zeros())
+            random_invertible(4, MOD.n, Zeros())
         assert len(draws) == 4 * 1001
 
     def test_injected_entries_are_reduced(self):

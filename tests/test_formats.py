@@ -461,6 +461,30 @@ def test_malformed_keyset_rejected():
         parse_keyset(truncated)
 
 
+def test_keyset_with_a_huge_count_is_refused():
+    keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
+    text = mutate_line(serialize_keyset(keyset), "l=", f"l={10**12}")
+    with pytest.raises(MalformedFileError, match="unexpected end of file"):
+        parse_keyset(text)
+
+
+def test_structure_is_checked_before_values():
+    text = mutate_line(fixture_text("key_a.key"), "m=", "m=x")
+    with pytest.raises(MalformedFileError, match="unexpected end of file"):
+        parse_key(mutate_line(text, "kinv=", None))
+
+
+# int() refuses more than 4,300 digits by default; such a value is a bad
+# field, reported by its length.
+@pytest.mark.parametrize("wreck,match", [
+    (lambda t: mutate_line(t, "N=", "N=" + "9" * 5000), "bad N: 5000 digits$"),
+    (lambda t: replace_k_entry(t, 3, "1" * 5000), "bad matrix entry: 5000 digits$"),
+], ids=["header-field", "matrix-entry"])
+def test_integer_too_long_to_convert_is_malformed(wreck, match):
+    with pytest.raises(MalformedFileError, match=match):
+        parse_key(wreck(fixture_text("key_a.key")))
+
+
 def test_keyset_with_swapped_components_rejected():
     keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
     k1, k2 = keyset.components

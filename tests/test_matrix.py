@@ -262,7 +262,7 @@ class TestInvertibility:
     def test_inverse_round_trip_all_dims(self):
         rng = random.Random(29)
         for dim in ALLOWED_DIMS:
-            m = random_invertible(dim, N, rng)
+            m = random_invertible(dim, N, rng)[0]
             assert m * inverse(m) == identity(dim, N)
 
     def test_singular_matrix_raises(self):
@@ -281,7 +281,7 @@ class TestRandomInvertible:
         rng = random.Random(31)
         for dim in ALLOWED_DIMS:
             for _ in range(20):
-                assert is_invertible(random_invertible(dim, N, rng))
+                assert is_invertible(random_invertible(dim, N, rng)[0])
 
     def test_parameter_validation(self):
         rng = random.Random(1)
