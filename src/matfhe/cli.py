@@ -39,6 +39,10 @@ def cmd_keygen(args):
     rng = random.Random(args.seed)
     gen = keygen4 if args.dim == 4 else keygen8
     key = gen(args.m, args.bits, rng)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and key.modulus.n >= 10 ** limit:
+        raise ParameterError(f"N has more than {limit} digits, the most "
+                             "this interpreter writes as text")
     formats.write_key(args.out, key)
     return 0
 
@@ -76,6 +80,8 @@ def cmd_eval(args):
         name, sep, path = item.partition("=")
         if not sep or not name:
             raise ParameterError(f"--input must be name=ctfile, got {item!r}")
+        if name in bindings:
+            raise ParameterError(f"--input {name} is given twice")
         bindings[name] = _read_matching_ciphertext(path, key)
     ast = parse_expr(args.expr)
     env = CipherEnv(bindings=bindings, key=key, rng=random.Random(args.seed))

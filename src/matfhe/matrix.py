@@ -259,46 +259,51 @@ def random_invertible(dim, modulus, rng):
     the draw. Each drawn row, next to the identity row that records it, is
     reduced against the rows kept so far, its free columns (no kept row's
     pivot) first: a row with no unit there to pivot on is redrawn whole (the
-    screen can reject rows a fuller search would keep). A kept row clears
-    its pivot column from the earlier ones (Gauss-Jordan), so they end as
-    [P | G] with G*k = P, a permutation. No row is divided by its pivot:
-    each kept row is the normalized one times s, the product of the pivots
-    so far, and a drawn row v is reduced as s*v - sum(v[p_t] * kept_t). A
-    unit factor keeps zeros at zero and units as units, so pivots, redraws
-    and rng calls are those of the normalized pass. The last row's step
-    divides by the final s, the one modular inverse. Every pivot is a unit,
-    so det k is one too. The 1001st rejected row raises GenerationError.
+    screen can reject rows a fuller search would keep). Kept rows hold the
+    live columns, free then recording, and a draw reads them by column with
+    zip. A kept row clears its pivot column from the earlier ones
+    (Gauss-Jordan), so they end as [P | G] with G*k = P, a permutation. No
+    row is divided by its pivot: each kept row is the normalized one times
+    s, the product of the pivots so far, and a drawn row v is reduced as
+    s*v - sum(v[p_t] * kept_t). A unit factor keeps zeros at zero and units
+    as units, so pivots, redraws and rng calls are those of the normalized
+    pass. The last row's step divides by the final s, the one modular
+    inverse. Every pivot is a unit, so det k is one too. The 1001st
+    rejected row raises GenerationError.
     """
     _check_shape(dim, modulus)
     n = modulus
-    rows, pivots = [], []
+    draw, gcd, ns = rng.randrange, math.gcd, [n] * dim
+    rows, pivots, kept = [], [], []
     free = list(range(dim))
-    cols = [[] for _ in free]  # kept rows by column: free, then recording
     s, rerolls = 1, 0
-    while len(rows) < dim:
-        row = [rng.randrange(n) for _ in range(dim)]
-        cs = [row[p] for p in pivots]
+    while free:
+        row = list(map(draw, ns))
+        cs, cols = [row[p] for p in pivots], zip(*kept)  # free, then recording
         head = [(s * row[j] - sum(map(mul, cs, col))) % n
-                for j, col in zip(free, cols)]
-        f = next((f for f, x in enumerate(head)
-                  if x and math.gcd(x, n) == 1), None)
-        if f is None:
+                for j, col in zip(free, cols)] if kept else [x % n for x in row]
+        for f, x in enumerate(head):
+            if gcd(x, n) == 1:
+                break
+        else:
             rerolls += 1
             if rerolls > 1000:
                 raise GenerationError("row generation exhausted 1000 rerolls")
             continue
-        w = head + [-sum(map(mul, cs, col)) % n for col in cols[len(free):]]
-        w.append(s)
-        cols.append([0] * len(pivots))  # recording column i
-        sp, cf = w.pop(f), cols.pop(f)
+        w = head + [-sum(map(mul, cs, col)) % n for col in cols]
+        w.append(s)  # the entry in its own recording column
+        sp = w.pop(f)
         if len(free) == 1:  # the last row: divide by the final scale here
             u = pow(s * sp, -1, n)
-            s, sp, cf = s * u % n, sp * u % n, [c * u % n for c in cf]
-        cols = [[(sp * x - c * y) % n for x, c in zip(col, cf)] + [s * y % n]
-                for col, y in zip(cols, w)]
+            sp, w = sp * u % n, [y * u % n for y in w]
+        for r in kept:
+            c = r.pop(f)
+            r.append(0)  # its entry in the new recording column
+            r[:] = [(sp * x - c * y) % n for x, y in zip(r, w)]
+        kept.append([s * y % n for y in w])
         pivots.append(free.pop(f))
         s = s * sp % n
         rows.append(row)
-    return (Matrix(dim, n, tuple(v % n for row in rows for v in row)),
-            Matrix(dim, n, tuple(x for _, r in sorted(zip(pivots, zip(*cols)))
-                                 for x in r)))
+    return (Matrix(dim, n, tuple([v % n for row in rows for v in row])),
+            Matrix(dim, n, tuple([x for _, r in sorted(zip(pivots, kept))
+                                  for x in r])))

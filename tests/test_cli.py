@@ -187,6 +187,17 @@ def test_eval_bad_input_argument_exit_2(tmp_path):
     assert "name=ctfile" in r.stderr
 
 
+def test_eval_repeated_input_name_exit_2(tmp_path):
+    out = tmp_path / "r.ct"
+    r = run_cli("eval", "--key", KEY_B, "--expr", "a",
+                "--input", f"a={CT_B5}", "--input", f"a={CT_B12}",
+                "--out", out)
+    assert r.returncode == 2
+    assert "--input a is given twice" in r.stderr
+    assert not out.exists()
+
+
+
 # --- error paths shared by file commands ---
 
 
@@ -238,6 +249,19 @@ def test_keygen_exhaustion_exit_3(tmp_path):
     r = run_cli("keygen", "--m", 40, "--lambda", 8, "--seed", 1,
                 "--out", tmp_path / "k")
     assert r.returncode == 3
+
+
+def test_keygen_n_past_the_digit_limit_exit_2(tmp_path):
+    # An N of about 14,400 bits has about 4,335 digits, more than str()
+    # converts under the default limit of 4,300; the key file is never
+    # opened.
+    key = tmp_path / "k.key"
+    r = run_cli("keygen", "--m", 1, "--lambda", 14400, "--seed", 1,
+                "--out", key)
+    assert r.returncode == 2
+    assert f"more than {sys.get_int_max_str_digits()} digits" in r.stderr
+    assert not key.exists()
+
 
 
 def test_missing_subcommand_args_exit_2():

@@ -697,6 +697,20 @@ class TestKeyMatrixPair:
         assert keyset.master.verify()
 
 
+def test_screen_at_protocol_key_size_is_the_normalized_screen():
+    """Key generation's row screen at the protocol's key size (dim 4,
+    lambda=16, m=2) over 100 sampled moduli: the same pair as the screen
+    that normalizes every pivot, and the rng left at the same next draw."""
+    for i in range(100):
+        n = generate_coprime_set(2, 16, random.Random(i)).n
+        for seed in range(4):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            mat, inv = random_invertible(4, n, rng)
+            assert (mat.entries, inv.entries) == \
+                normalized_screen_pair(4, n, oracle)
+            assert rng.random() == oracle.random()
+
+
 def frozen_parse_expr(text):
     """The formula parser with a character-loop tokenizer and separate expr
     and term rules. Same grammar, depth limits and errors as parse_expr."""
