@@ -175,6 +175,10 @@ def cmd_bench(args):
         ("dec", dec, (c1, key), 50, 1),
         ("add", mat_add, (c1.body, c2.body), 3000, 1),
         ("mul", mat_mul, (c1.body, c2.body), 700, 1),
+        # A computation center's formula: 14 operators, 6 deep.
+        ("parse", parse_expr, ("((((((a17*a2)+a1)-a23)*(a20*a24))*a27)"
+                               "-(((a15+a14)+(a11-(a11+a8)))"
+                               "+((a28+a26)*a23)))",), 50, 1),
         ("trial", kpa_collision_estimate, (key, x1, 1000, rng), 1, 1000),
     )
     times = [[_one_batch(fn, fn_args, calls) / ops

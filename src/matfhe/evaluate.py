@@ -84,12 +84,12 @@ def he_div(c1, c2):
     return Ciphertext(mat_mul(c1.body, inv))
 
 
-# Tried in order at each offset: integer, name, operator or parenthesis,
-# a run of blanks (skipped), any other character (refused; DOTALL, so line
-# breaks are refused too, not skipped). The classes are ASCII only.
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*/()])|[ \t]+|(?P<bad>.)", re.DOTALL)
-_LEVELS = (("+", "-"), ("*", "/"))
+# Tokens are bare strings: integer, name, operator or parenthesis. findall
+# skips what no token matches, so _BAD first refuses any character but those
+# and blanks, line breaks too. The classes are ASCII only.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/()]")
+_BAD = re.compile(r"[^0-9A-Za-z_ \t()*/+-]")
+_PREC = {"+": 0, "-": 0, "*": 1, "/": 1}
 
 MAX_DEPTH = 200
 _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
@@ -103,8 +103,10 @@ def parse_expr(text):
         term   := factor (('*' | '/') factor)*
         factor := integer | name | '(' expr ')'
 
-    Tokens come from one regular expression. expr and term are one rule,
-    binary(level), over the operator sets of _LEVELS, loosest first.
+    A character that is not in a token or a blank is refused before any
+    other error. Tokens are bare strings, "" ending the list; a token's
+    offset is found by a finditer re-scan, on the error path only. expr and
+    term are one precedence-climbing loop, climb(tightest), over _PREC.
 
     A formula whose tree is more than MAX_DEPTH operators deep, or whose
     parentheses nest more than MAX_DEPTH deep, raises ExprSyntaxError at
@@ -112,65 +114,68 @@ def parse_expr(text):
     nor a walk of a parsed tree reaches the interpreter's recursion limit,
     and format_expr's output of a parsed tree parses back.
     """
-    def fail(expected, tok=None):
-        kind, value, offset = tok or tokens[pos]
-        found = "end of input" if kind == "end" else repr(value)
-        raise ExprSyntaxError(offset, expected, found)
-
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            fail("integer, name, or operator", (kind, m[0], m.start()))
-        if kind:
-            tokens.append((kind, m[0], m.start()))
-    tokens.append(("end", "", len(text)))
-    # Each rule returns its node and the node's depth in operators; parens
-    # counts the parentheses open around the current token.
+    bad = _BAD.search(text)
+    if bad:
+        raise ExprSyntaxError(bad.start(), "integer, name, or operator",
+                              repr(bad[0]))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    # pos indexes the current token, and parens counts the parentheses open
+    # around it. Each rule returns its node and the node's depth in operators.
     pos = parens = 0
 
-    def factor():
-        nonlocal pos, parens
-        kind, value, _ = tok = tokens[pos]
-        pos += 1
-        if kind == "int":
-            try:
-                return Const(int(value)), 0
-            except ValueError:  # more digits than the interpreter converts
-                raise ExprSyntaxError(tok[2], "a shorter integer",
-                                      f"{len(value)} digits") from None
-        if kind == "name":
-            return Ref(value), 0
-        if value != "(":
-            fail("integer, name, or '('", tok)
-        parens += 1
-        if parens > MAX_DEPTH:
-            fail(_TOO_DEEP, tok)
-        inner = binary(0)
-        if tokens[pos][1] != ")":
-            fail("')'")
-        pos += 1
-        parens -= 1
-        return inner
+    def error(expected, at, found=None):
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        tok = tokens[at]
+        return ExprSyntaxError(starts[at], expected, found or (
+            repr(tok) if tok else "end of input"))
 
-    def binary(level):
-        nonlocal pos
-        ops = _LEVELS[level]
-        tighter = level + 1 < len(_LEVELS)
-        node, depth = binary(level + 1) if tighter else factor()
-        while tokens[pos][1] in ops:
-            tok = tokens[pos]
+    def operand():
+        nonlocal pos, parens
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            parens += 1
+            if parens > MAX_DEPTH:
+                raise error(_TOO_DEEP, pos - 1)
+            inner = climb(0)
+            if tokens[pos] != ")":
+                raise error("')'", pos)
             pos += 1
-            right, right_depth = binary(level + 1) if tighter else factor()
-            depth = max(depth, right_depth) + 1
+            parens -= 1
+            return inner
+        if tok.isidentifier():
+            return Ref(tok), 0
+        if tok.isdigit():
+            try:
+                return Const(int(tok)), 0
+            except ValueError:  # more digits than the interpreter converts
+                raise error("a shorter integer", pos - 1,
+                            f"{len(tok)} digits") from None
+        raise error("integer, name, or '('", pos - 1)
+
+    def climb(tightest):
+        # Folds every operator of precedence tightest or more. A '+' or '-'
+        # takes a term, climb(1), on its right, and a '*' or '/' an operand.
+        nonlocal pos
+        node, depth = operand()
+        prec = _PREC.get(tokens[pos], -1)
+        while prec >= tightest:
+            at = pos
+            pos += 1
+            right, right_depth = operand() if prec else climb(1)
+            if right_depth > depth:
+                depth = right_depth
+            depth += 1
             if depth > MAX_DEPTH:
-                fail(_TOO_DEEP, tok)
-            node = BinOp(tok[1], node, right)
+                raise error(_TOO_DEEP, at)
+            node = BinOp(tokens[at], node, right)
+            prec = _PREC.get(tokens[pos], -1)
         return node, depth
 
-    node, _ = binary(0)
-    if tokens[pos][0] != "end":
-        fail("operator or end of input")
+    node, _ = climb(0)
+    if tokens[pos]:
+        raise error("operator or end of input", pos)
     return node
 
 

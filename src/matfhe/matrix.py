@@ -7,7 +7,7 @@ the determinant, not mere nonzero-ness.
 """
 
 import math
-from operator import mul
+from operator import add, mul, sub
 
 from .ring import GenerationError, NotInvertibleError, ParameterError
 
@@ -155,15 +155,15 @@ def mat_add(a, b):
             s15 if s15 < n else s15 - n,
         )
         return out
-    return Matrix(a.dim, n,
-                  tuple((x + y) % n for x, y in zip(a.entries, b.entries)))
+    return Matrix(a.dim, n, tuple(s if s < n else s - n
+                                  for s in map(add, a.entries, b.entries)))
 
 
 def mat_sub(a, b):
     _check_pair(a, b)
     n = a.modulus
-    return Matrix(a.dim, n,
-                  tuple((x - y) % n for x, y in zip(a.entries, b.entries)))
+    return Matrix(a.dim, n, tuple(d if d >= 0 else d + n
+                                  for d in map(sub, a.entries, b.entries)))
 
 
 def mat_mul(a, b):

@@ -502,7 +502,7 @@ def test_bench_output_shape():
     assert lines[0] == "operation\tmedian_us"
     rows = dict(line.split("\t") for line in lines[1:])
     assert list(rows) == ["keygen", "coins", "enc", "dec", "add", "mul",
-                          "trial"]
+                          "parse", "trial"]
     times = {name: float(value) for name, value in rows.items()}
     assert all(value > 0 for value in times.values())
     assert times["add"] < times["mul"]
@@ -611,8 +611,9 @@ def test_bench_reps_time_every_row_in_order(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_one_batch", log_batch)
     assert cli.main(["bench", "--lambda", "12", "--reps", "2"]) == 0
     rows = [cli.keygen4, next, cli.enc4, cli.dec, cli.mat_add, cli.mat_mul,
-            cli.kpa_collision_estimate]
+            cli.parse_expr, cli.kpa_collision_estimate]
     assert timed == rows * 2
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines] == [
-        "operation", "keygen", "coins", "enc", "dec", "add", "mul", "trial"]
+        "operation", "keygen", "coins", "enc", "dec", "add", "mul", "parse",
+        "trial"]

@@ -119,6 +119,23 @@ class TestParser:
         assert info.value.found == "5000 digits"
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("text, offset, expected, found", [
+        # A refused character is reported before the syntax error at 'b'.
+        ("a b $", 4, "integer, name, or operator", "'$'"),
+        ("a +\t* b", 4, "integer, name, or '('", "'*'"),
+        ("(a+\t7", 5, "')'", "end of input"),
+        ("x1 + " + "9" * 4405, 5, "a shorter integer", "4405 digits"),
+    ], ids=["dollar-after-name", "operator-after-tab", "unclosed-after-tab",
+            "long-integer-after-blanks"])
+    def test_error_offsets_count_skipped_blanks(self, text, offset,
+                                                expected, found):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert (info.value.offset, info.value.expected, info.value.found) \
+            == (offset, expected, found)
+        assert str(info.value) == \
+            f"expected {expected} at offset {offset}, found {found}"
+
     def test_format_expr_round_trips(self):
         rng = random.Random(101)
         for _ in range(200):
@@ -135,7 +152,7 @@ class TestNestingDepth:
     the parser or from walking the tree."""
 
     def test_limit_is_well_inside_the_recursion_limit(self):
-        # The parser spends three frames per open parenthesis.
+        # The parser spends at most three frames per open parenthesis.
         assert MAX_DEPTH == 200
         assert 3 * MAX_DEPTH + 200 < sys.getrecursionlimit()
 
@@ -144,7 +161,9 @@ class TestNestingDepth:
         ("(" * 400 + "a" + ")" * 400, MAX_DEPTH, "'('"),
         # A chain inside parentheses keeps its depth: 149 + 52 operators.
         ("(" + "+".join(["a"] * 150) + ")" + "*a" * 52, 301 + 2 * 51, "'*'"),
-    ], ids=["sum-1500", "parens-400", "sum-then-product"])
+        # A right operand's depth counts too: 200 + 1 operators.
+        ("a*(" + "+".join(["a"] * (MAX_DEPTH + 1)) + ")", 1, "'*'"),
+    ], ids=["sum-1500", "parens-400", "sum-then-product", "product-of-sum"])
     def test_too_deep_is_refused_where_it_goes_past(self, text, offset, found):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr(text)

@@ -12,8 +12,8 @@ Encryption's raw rng draws, one lazy stream for many plaintexts, are
 checked against coins sampled one plaintext at a time. Key
 generation's row screen keeps its rows at a common scale and is checked
 against the screen that divides each row by its pivot. The
-formula parser, one token regex and one rule for both precedence levels,
-is checked against the character-loop parser with separate expr and term
+formula parser, bare string tokens and one precedence-climbing loop, is
+checked against the character-loop parser with separate expr and term
 rules: same trees, same errors. The protocol's owner, which encrypts only
 the requested entries under k1*k2, is checked against the owner that
 encrypted its whole table under k1 and locked what it sent under k2: same
@@ -23,6 +23,7 @@ transcript, same result, same next draw.
 import itertools
 import math
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -854,14 +855,46 @@ def deep(n):
         "parens": "(" * n + "a" + ")" * n,
         "right-sum": "(a+" * n + "a" + ")" * n,
         "sum-times": "((a+b)*" * n + "a" + ")" * n,
+        "times-sum": "a*(" + "+".join(["a"] * n) + ")",
         "chain-then-name": "-".join(["a"] * n) + "-b c",
         "chain-then-dollar": "a+" + "b*" * n + "c$",
         "unclosed": "(" * n + "a",
     }
 
 
+def sized_formula(rng):
+    """A well-formed formula of a computation center's size: 14 to 60
+    operators, 6 to 10 deep before parentheses are left out, operands of up
+    to 40 digits (leading zeros too) or names of up to 24 characters, each
+    with a run of blanks and tabs, or none, on either side."""
+    name_chars = string.ascii_letters + string.digits + "_"
+
+    def blanks():
+        return rng.choice(("", "", "", " ", "\t", "   ", " \t\t "))
+
+    def operand():
+        if rng.random() < 0.3:
+            token = "".join(rng.choices(string.digits, k=rng.randint(1, 40)))
+        else:
+            token = rng.choice(string.ascii_letters + "_") + "".join(
+                rng.choices(name_chars, k=rng.randint(0, 23)))
+        return blanks() + token + blanks()
+
+    def text(n_ops, depth):
+        if n_ops == 0:
+            return operand()
+        cap = 2 ** (depth - 1) - 1
+        left = rng.randint(max(0, n_ops - 1 - cap), min(n_ops - 1, cap))
+        inner = (text(left, depth - 1) + rng.choice("+-*/")
+                 + text(n_ops - 1 - left, depth - 1))
+        return f"{blanks()}({inner}){blanks()}" if rng.random() < 0.6 \
+            else inner
+
+    return text(rng.randint(14, 60), rng.randint(6, 10))
+
+
 class TestFormulaParser:
-    """parse_expr, one token regex and one rule for both precedence levels,
+    """parse_expr, bare string tokens and one precedence-climbing loop,
     against the character-loop parser with an expr and a term rule."""
 
     @settings(max_examples=10_000, deadline=None)
@@ -869,6 +902,15 @@ class TestFormulaParser:
     def test_matches_the_frozen_parser(self, text):
         assert parse_outcome(parse_expr, text) == \
             parse_outcome(frozen_parse_expr, text)
+
+    def test_formulas_of_a_computation_centers_size(self):
+        # The hypothesis texts stop at 40 bytes; these run to about 1,400.
+        rng = random.Random(31)
+        for _ in range(1000):
+            text = sized_formula(rng)
+            tree = parse_expr(text)
+            assert isinstance(tree, BinOp), text
+            assert tree == frozen_parse_expr(text), text
 
     @pytest.mark.parametrize("family", sorted(deep(0)))
     def test_depth_edges_match_the_frozen_parser(self, family):

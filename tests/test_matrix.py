@@ -135,6 +135,17 @@ class TestArithmetic:
                 (x + y) % N for x, y in zip(a.entries, b.entries))
             assert out.dim == 4 and out.modulus == N
 
+    @pytest.mark.parametrize("dim", ALLOWED_DIMS)
+    def test_one_correction_reduces_edge_entries(self, dim):
+        # add and sub correct each entry by one N at most, which holds only
+        # for inputs in [0, N): pin the entries 0, 1 and N - 1, in every
+        # pairing and so in both operand orders, to the plain % definitions.
+        for x, y in itertools.product((0, 1, N - 1), repeat=2):
+            a = Matrix(dim, N, (x,) * dim * dim)
+            b = Matrix(dim, N, (y,) * dim * dim)
+            assert mat_add(a, b).entries == ((x + y) % N,) * dim * dim
+            assert mat_sub(a, b).entries == ((x - y) % N,) * dim * dim
+
     def test_ring_laws_on_random_triples(self):
         rng = random.Random(7)
         for _ in range(500):
