@@ -18,10 +18,9 @@ too long for int(), is walked entry by entry only to name the bad entry.
 
 import os
 import stat
-from functools import reduce
 
 from .cipher import Ciphertext
-from .keys import KEY_DIMS, KeySet, KeyTuple, compose
+from .keys import KEY_DIMS, KeySet, KeyTuple
 from .matrix import Matrix
 from .ring import RingModulus
 
@@ -187,10 +186,11 @@ def parse_keyset(text):
         raise MalformedFileError("key set needs at least two components")
     values = _values(lines[len(_KEYSET):], _pair_names(count))
     master, *components = _key_pairs(modulus, dim, values)
-    if master != reduce(compose, components):
+    keyset = KeySet(modulus, tuple(components))
+    if master != keyset.master:
         raise MalformedFileError(
             "master key is not the product of the components in file order")
-    return KeySet(modulus, tuple(components), master)
+    return keyset
 
 
 def write_text(path, text):

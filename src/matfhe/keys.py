@@ -1,8 +1,8 @@
 """Key material: conjugation key pairs, their products (formed by compose
-alone), and the multiplicative key sets built from them."""
+alone), and the multiplicative key sets that derive them once."""
 
 from collections import namedtuple
-from functools import reduce
+from functools import cached_property, reduce
 
 from .matrix import identity, mat_mul, random_invertible
 from .ring import ParameterError, _Record, generate_coprime_set
@@ -31,21 +31,31 @@ class KeyTuple(_Record, namedtuple("KeyTuple", "modulus k k_inv")):
         return mat_mul(self.k, self.k_inv) == identity(self.k.dim, self.k.modulus)
 
 
-class KeySet(_Record, namedtuple("KeySet", "modulus components master")):
-    """Component keys plus the master key for a re-keying chain.
+class KeySet(_Record, namedtuple("KeySet", "modulus components")):
+    """Component keys for a re-keying chain, with the keys derived from them.
 
-    The master matrix is the ordered product of the component matrices,
-    components[0].k * components[1].k * ... in that order.
+    Each derived key is composed on first use and kept: master is the
+    ordered product components[0].k * components[1].k * ... of all of
+    them, prefix the product of all but the last, so master is prefix
+    composed with the last component.
     """
 
-    def __new__(cls, modulus, components, master):
+    def __new__(cls, modulus, components):
         if len(components) < 2:
             raise ValueError("need at least two component keys")
-        if any(kt.modulus != modulus for kt in components + (master,)):
+        if any(kt.modulus != modulus for kt in components):
             raise ValueError("all keys must share one modulus")
-        if any(kt.dim != master.dim for kt in components):
+        if any(kt.dim != components[0].dim for kt in components):
             raise ValueError("all keys must share one dimension")
-        return tuple.__new__(cls, (modulus, components, master))
+        return tuple.__new__(cls, (modulus, components))
+
+    @cached_property
+    def prefix(self):
+        return reduce(compose, self.components[:-1])
+
+    @cached_property
+    def master(self):
+        return compose(self.prefix, self.components[-1])
 
 
 def compose(a, b):
@@ -75,11 +85,11 @@ def keygen8(m, bits, rng, candidates=None):
 
 
 def keyset_gen(dim, count, m, bits, rng):
-    """Generate count component keys and their master key, the components
-    composed in order."""
+    """Generate a key set of count component keys; its master key is
+    composed from them on first use."""
     if count < 2:
         raise ParameterError("need at least two component keys")
     modulus = generate_coprime_set(m, bits, rng)
     components = [KeyTuple(modulus, *random_invertible(dim, modulus.n, rng))
                   for _ in range(count)]
-    return KeySet(modulus, tuple(components), reduce(compose, components))
+    return KeySet(modulus, tuple(components))

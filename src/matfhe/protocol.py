@@ -6,7 +6,8 @@ center evaluates formulas over masked operands, and the data user receives
 the result. Key distribution happens out of band: the owner holds k1 and
 the masking key k2, the mapper holds k3, the user holds the master key
 k1*k2*k3, and the computation center holds nothing. The owner encrypts
-only the requested entries, each straight under compose(k1, k2): the
+only the requested entries, each straight under compose(k1, k2), the key
+set's prefix, composed once per key set however many runs it serves: the
 ciphertext that locking its k1 encryption under k2 would give. It still
 draws coins for its whole table, so one seed gives one coin stream
 whatever the formula reads. The message types have no key-bearing variant,
@@ -23,7 +24,6 @@ from .cipher import _draw_enc4, dec, enc4, lock
 from .evaluate import (BinOp, CipherEnv, Const, Ref, eval_expr, format_expr,
                        parse_expr)
 from .formats import entries_text
-from .keys import compose
 from .ring import ParameterError, PlaintextRangeError, _Record
 
 
@@ -116,16 +116,17 @@ def run_protocol(formula, data, keyset, rng):
 
     formula is formula text over inputs named x1..xt, 1-based into data;
     parse_expr bounds its depth. keyset needs exactly three components: the
-    owner encrypts under components 1 and 2 composed, the mapper locks
-    under component 3, and the user decrypts with the master.
+    owner encrypts under components 1 and 2 composed (the key set's
+    prefix), the mapper locks under component 3, and the user decrypts
+    with the master. The key set composes its prefix and master once, so
+    a later run over it makes no key product.
     """
     formula = parse_expr(formula)
     required = _required_indices(formula, len(data))
     if len(keyset.components) != 3:
         raise ProtocolError("protocol needs a key set with exactly 3 components")
-    if keyset.master.dim != 4:
+    if keyset.components[0].dim != 4:
         raise ParameterError("enc4 needs a dim 4 key")
-    k1, k2, k3 = keyset.components
 
     messages = []
 
@@ -146,7 +147,7 @@ def run_protocol(formula, data, keyset, rng):
     if not all(0 <= x < n for x in data):
         raise PlaintextRangeError(f"plaintext must lie in [0, {n})")
     coins = list(_draw_enc4(data, n, m, rng))
-    owner = compose(k1, k2)
+    owner = keyset.prefix
     operands = {}
     for i in required:
         z = enc4(data[i - 1], owner, coins[i - 1])
@@ -158,7 +159,7 @@ def run_protocol(formula, data, keyset, rng):
     messages.append(Message(Role.COMPUTATION_CENTER, Role.MAPPER,
                             EvalResult(evaluated)))
 
-    mapped = lock(evaluated, k3)
+    mapped = lock(evaluated, keyset.components[2])
     messages.append(Message(Role.MAPPER, Role.DATA_USER,
                             MappedResult(mapped)))
 
@@ -174,13 +175,13 @@ def audit_transcript(transcript, keyset):
     """Check a transcript against the protocol's disclosure rules.
 
     Returns violation descriptions, empty when clean. Checks that no
-    transmitted matrix equals any key matrix or key inverse, that the
-    computation center received only masked operands and formula
-    announcements, and that the data user received exactly one mapped
-    result.
+    transmitted matrix equals any key matrix or key inverse (a component's,
+    the owner's or the master's), that the computation center received
+    only masked operands and formula announcements, and that the data user
+    received exactly one mapped result.
     """
     key_material = set()
-    for kt in keyset.components + (keyset.master,):
+    for kt in keyset.components + (keyset.prefix, keyset.master):
         key_material.add(kt.k)
         key_material.add(kt.k_inv)
     violations = []

@@ -1,10 +1,12 @@
 """Key generation and key sets."""
 
 import random
+from functools import reduce
 
 import pytest
 
-from matfhe.keys import KeySet, KeyTuple, keygen4, keygen8, keyset_gen
+from matfhe.keys import (KeySet, KeyTuple, compose, keygen4, keygen8,
+                         keyset_gen)
 from matfhe.matrix import Matrix, identity, inverse, mat_mul
 
 from conftest import EntryRng
@@ -110,7 +112,14 @@ class TestKeySet:
         rng = random.Random(67)
         ks = keyset_gen(4, 2, 2, 16, rng)
         with pytest.raises(ValueError):
-            KeySet(ks.modulus, (ks.components[0],), ks.master)
+            KeySet(ks.modulus, (ks.components[0],))
         other = keygen4(2, 16, rng=random.Random(71))
         with pytest.raises(ValueError):
-            KeySet(ks.modulus, (ks.components[0], other), ks.master)
+            KeySet(ks.modulus, (ks.components[0], other))
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_derived_master_is_the_fold_of_the_components(self, count):
+        ks = keyset_gen(4, count, 2, 16, random.Random(73 + count))
+        assert ks.master == reduce(compose, ks.components)
+        assert ks.prefix == reduce(compose, ks.components[:-1])
+        assert ks.master is ks.master and ks.prefix is ks.prefix

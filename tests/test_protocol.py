@@ -8,7 +8,8 @@ from matfhe.analysis import plaintext_candidates
 from matfhe.cipher import Ciphertext, dec
 from matfhe.evaluate import (MAX_DEPTH, BinOp, ExprSyntaxError, Ref,
                              format_expr)
-from matfhe.keys import KeyTuple, keyset_gen
+from matfhe import cipher, evaluate, keys
+from matfhe.keys import KeyTuple, compose, keyset_gen
 from matfhe.matrix import mat_mul
 from matfhe.ring import ParameterError
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
@@ -20,6 +21,21 @@ from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
 
 def make_keyset(seed):
     return keyset_gen(4, 3, 2, 16, random.Random(seed))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that gains one entry per mat_mul call made through keys,
+    cipher or evaluate, the modules that bind it on the protocol's path."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.dim)
+        return mat_mul(a, b)
+
+    for module in (keys, cipher, evaluate):
+        monkeypatch.setattr(module, "mat_mul", counted)
+    return calls
 
 
 def plain_eval(node, data, n):
@@ -241,12 +257,24 @@ class TestRunProtocol:
         with pytest.raises(ProtocolError):
             run_protocol("x1", (5,), two, rng)
 
-    def test_dim_8_keyset_refused_before_the_first_draw(self):
+    def test_dim_8_keyset_refused_before_the_first_draw(self, products):
         dim8 = keyset_gen(8, 3, 2, 16, random.Random(13))
         rng = random.Random(14)
         with pytest.raises(ParameterError, match="enc4 needs a dim 4 key"):
             run_protocol("x1", (5, 6, 7), dim8, rng)
         assert rng.random() == random.Random(14).random()
+        assert products == []
+
+    def test_key_set_composes_its_keys_once_over_many_runs(self, products):
+        # The owner's key and the master are 2 products each, the formula's
+        # one ciphertext product 1, and the mapper's lock 2.
+        rng = random.Random(15)
+        ks = keyset_gen(4, 3, 2, 16, rng)
+        first, _ = run_protocol("x1*x2+x3", (3, 4, 5), ks, rng)
+        assert (first, len(products)) == (17, 7)
+        del products[:]
+        second, _ = run_protocol("x1*x2+x3", (6, 7, 8), ks, rng)
+        assert (second, len(products)) == (50, 3)
 
     def test_computation_center_reads_every_operand_below_100(self):
         # What the computation center receives leaks small plaintexts with
@@ -280,6 +308,20 @@ class TestAudit:
         k2 = ks.components[1]
         forged = Message(Role.DATA_OWNER, Role.COMPUTATION_CENTER,
                          MaskedOperand(1, Ciphertext(k2.k)))
+        dirty = Transcript(messages=transcript.messages + (forged,),
+                           result=transcript.result)
+        violations = audit_transcript(dirty, ks)
+        assert len(violations) == 1
+        assert "key material" in violations[0]
+
+    @pytest.mark.parametrize("half", ["k", "k_inv"])
+    def test_forged_owner_key_detected(self, half):
+        # The owner's key k1*k2 is key material as much as k1 or k2.
+        ks = make_keyset(18)
+        _, transcript = run_protocol("x1", (8,), ks, random.Random(19))
+        owner = compose(*ks.components[:2])
+        forged = Message(Role.DATA_OWNER, Role.COMPUTATION_CENTER,
+                         MaskedOperand(1, Ciphertext(getattr(owner, half))))
         dirty = Transcript(messages=transcript.messages + (forged,),
                            result=transcript.result)
         violations = audit_transcript(dirty, ks)

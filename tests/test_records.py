@@ -42,8 +42,7 @@ RECORDS = [
     (Ref, {"name": "x1"}),
     (BinOp, {"op": "+", "left": Const(7), "right": Ref("x1")}),
     (KeyTuple, {"modulus": MOD, "k": KA, "k_inv": KA_INV}),
-    (KeySet, {"modulus": MOD, "components": (KEY_A, KEY_B),
-              "master": compose(KEY_A, KEY_B)}),
+    (KeySet, {"modulus": MOD, "components": (KEY_A, KEY_B)}),
     (RingModulus, _modulus()),
     (DataRequest, {"indices": (1, 3)}),
     (FormulaAnnouncement, {"formula": Ref("x1")}),
@@ -84,11 +83,11 @@ CHECKS = [
      "key pair must share one dimension"),
     (KeyTuple, {"modulus": MOD, "k": KA, "k_inv": Matrix(4, 1157, KA_INV.entries)},
      "key matrices must be taken mod n"),
-    (KeySet, {"modulus": MOD, "components": (KEY_A,), "master": KEY_A},
+    (KeySet, {"modulus": MOD, "components": (KEY_A,)},
      "need at least two component keys"),
-    (KeySet, {"modulus": OTHER_MOD, "components": (KEY_A, KEY_B),
-              "master": KEY_A}, "all keys must share one modulus"),
-    (KeySet, {"modulus": MOD, "components": (KEY_A, KEY_8), "master": KEY_A},
+    (KeySet, {"modulus": OTHER_MOD, "components": (KEY_A, KEY_B)},
+     "all keys must share one modulus"),
+    (KeySet, {"modulus": MOD, "components": (KEY_A, KEY_8)},
      "all keys must share one dimension"),
 ]
 
@@ -159,6 +158,18 @@ def test_cipher_env_defaults():
                 CipherEnv(bindings=bindings, key=key, rng=rng)):
         assert (env.bindings, env.key, env.rng) == (bindings, key, rng)
         assert env.bindings is bindings
+
+
+def test_keyset_derives_its_keys_once_and_keeps_them():
+    ks = KeySet(MOD, (KEY_A, KEY_B))
+    assert ks.prefix is KEY_A
+    assert ks.master is ks.master
+    assert ks.master == compose(KEY_A, KEY_B)
+    assert tuple(ks) == (MOD, (KEY_A, KEY_B))
+    for name in ("master", "prefix"):
+        with pytest.raises(AttributeError):
+            setattr(ks, name, KEY_B)
+    assert ks.master == compose(KEY_A, KEY_B)
 
 
 def test_replace_runs_the_checks():
