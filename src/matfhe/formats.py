@@ -1,4 +1,4 @@
-"""On-disk text formats for keys, key sets, and ciphertexts.
+"""On-disk text formats for keys and ciphertexts.
 
 Every file is line-oriented ASCII: a versioned header, then key=value
 lines in a fixed order. Newlines are LF, no trailing whitespace, all
@@ -9,18 +9,18 @@ ciphertext files carry only the public modulus N.
 
 Writing serializes first, so a refused object leaves the file as it was,
 then overwrites the file in place (symlinks and hard links keep sharing
-it) and cuts it to length. Reading checks every line name in order, and
-that none is missing or left over, before any value (in a key set, the
-pair names once l is read). It checks each integer line whole (ASCII
-digits and commas, no empty entry); a refused line, or one with an integer
-too long for int(), is walked entry by entry only to name the bad entry.
+it) and cuts it to length. Reading refuses a non-ASCII byte, then checks
+every line name in order, and that none is missing or left over, before
+any value. It checks each integer line whole (ASCII digits and commas, no
+empty entry); a refused line, or one with an integer too long for int(),
+is walked entry by entry only to name the bad entry.
 """
 
 import os
 import stat
 
 from .cipher import Ciphertext
-from .keys import KEY_DIMS, KeySet, KeyTuple
+from .keys import KEY_DIMS, KeyTuple
 from .matrix import Matrix
 from .ring import RingModulus
 
@@ -75,18 +75,9 @@ def _parse_dim(text, what):
     return dim
 
 
-# Line names after the header, in file order. A key set file holds the key
-# names up to dim, then l, then the pairs of _pair_names(l).
+# Line names after the header, in file order.
 _KEY = ("m", "lambda", "f", "N", "dim", "k", "kinv")
 _CT = ("m", "lambda", "N", "dim", "c")
-_KEYSET = _KEY[:5] + ("l",)
-
-
-def _pair_names(count):
-    """k, kinv, then k1, kinv1 up to k{count}, kinv{count}, drawn lazily."""
-    for i in range(count + 1):
-        for name in _KEY[5:]:
-            yield f"{name}{i or ''}"
 
 
 def _text(kind, names, values):
@@ -108,8 +99,7 @@ def _lines(text, kind):
 
 def _values(lines, names):
     """The text after each name= prefix, once each line is checked to carry
-    the next name and no line is missing or left over. names is drawn only
-    while lines remain, so it may be lazy and longer than any file."""
+    the next name and no line is missing or left over."""
     values = []
     for name in names:
         if len(values) == len(lines):
@@ -123,35 +113,23 @@ def _values(lines, names):
     return values
 
 
-def _key_head(modulus, dim):
-    return modulus.m, modulus.bits, ",".join(map(str, modulus.f)), modulus.n, dim
+def serialize_key(key):
+    mod, f = key.modulus, ",".join(map(str, key.modulus.f))
+    return _text("KEY", _KEY, (mod.m, mod.bits, f, mod.n, key.dim,
+                               entries_text(key.k), entries_text(key.k_inv)))
 
 
-def _parse_key_head(m, bits, f, n, dim):
-    """The secret modulus and the key dimension opening key and key set
-    files."""
+def parse_key(text):
+    m, bits, f, n, dim, k, k_inv = _values(_lines(text, "KEY"), _KEY)
     m, bits = _parse_int(m, "m"), _parse_int(bits, "lambda")
     f, n = _parse_int_list(f, "factor"), _parse_int(n, "N")
     try:
         modulus = RingModulus(m=m, bits=bits, p=None, q=None, f=f, n=n)
     except ValueError as err:
         raise MalformedFileError(str(err)) from err
-    return modulus, _parse_dim(dim, "key")
-
-
-def _key_pairs(modulus, dim, texts):
-    mats = [matrix_from_text(text, dim, modulus.n) for text in texts]
-    return [KeyTuple(modulus, k, k_inv) for k, k_inv in zip(mats[::2], mats[1::2])]
-
-
-def serialize_key(key):
-    return _text("KEY", _KEY, (*_key_head(key.modulus, key.dim),
-                               entries_text(key.k), entries_text(key.k_inv)))
-
-
-def parse_key(text):
-    *head, k, k_inv = _values(_lines(text, "KEY"), _KEY)
-    return _key_pairs(*_parse_key_head(*head), (k, k_inv))[0]
+    dim = _parse_dim(dim, "key")
+    return KeyTuple(modulus, matrix_from_text(k, dim, modulus.n),
+                    matrix_from_text(k_inv, dim, modulus.n))
 
 
 def serialize_ciphertext(ct, modulus):
@@ -170,29 +148,6 @@ def parse_ciphertext(text):
     return Ciphertext(body), m, bits, n
 
 
-def serialize_keyset(keyset):
-    pairs, count = (keyset.master, *keyset.components), len(keyset.components)
-    return _text("KEYSET", _KEYSET + tuple(_pair_names(count)),
-                 (*_key_head(keyset.modulus, keyset.master.dim), count,
-                  *(entries_text(m) for kt in pairs for m in (kt.k, kt.k_inv))))
-
-
-def parse_keyset(text):
-    lines = _lines(text, "KEYSET")
-    *head, count = _values(lines[:len(_KEYSET)], _KEYSET)
-    modulus, dim = _parse_key_head(*head)
-    count = _parse_int(count, "l")
-    if count < 2:
-        raise MalformedFileError("key set needs at least two components")
-    values = _values(lines[len(_KEYSET):], _pair_names(count))
-    master, *components = _key_pairs(modulus, dim, values)
-    keyset = KeySet(modulus, tuple(components))
-    if master != keyset.master:
-        raise MalformedFileError(
-            "master key is not the product of the components in file order")
-    return keyset
-
-
 def write_text(path, text):
     """Overwrite path in place, then cut a regular file to the text's length
     (devices and pipes, which ignore O_TRUNC, refuse truncate())."""
@@ -203,9 +158,18 @@ def write_text(path, text):
             fh.truncate()
 
 
-def read_key(path):
+def _read_text(path):
     with open(path, "rb") as fh:
-        return parse_key(fh.read().decode("ascii"))
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        raise MalformedFileError(f"non-ASCII byte 0x{data[err.start]:02x} "
+                                 f"at offset {err.start}") from err
+
+
+def read_key(path):
+    return parse_key(_read_text(path))
 
 
 def write_key(path, key):
@@ -213,8 +177,7 @@ def write_key(path, key):
 
 
 def read_ciphertext(path):
-    with open(path, "rb") as fh:
-        return parse_ciphertext(fh.read().decode("ascii"))
+    return parse_ciphertext(_read_text(path))
 
 
 def write_ciphertext(path, ct, modulus):

@@ -229,6 +229,25 @@ def test_malformed_file_exit_4(tmp_path):
     assert "bad header" in r.stderr
 
 
+# A high byte appended to a key or ciphertext read by each command.
+@pytest.mark.parametrize("source,args", [
+    (KEY_A, ("decrypt", "--key", "{bad}", "--in", CT_A257)),
+    (CT_A257, ("decrypt", "--key", KEY_A, "--in", "{bad}")),
+    (CT_A257, ("eval", "--key", KEY_A, "--expr", "a", "--input", "a={bad}",
+               "--out", "r.ct")),
+    (KEY_A, ("verify", "--key", "{bad}")),
+], ids=["decrypt-key", "decrypt-in", "eval-input", "verify-key"])
+def test_non_ascii_byte_exit_4(tmp_path, source, args):
+    with open(source, "rb") as fh:
+        data = fh.read()
+    bad = tmp_path / "bad"
+    bad.write_bytes(data + b"\xff")
+    r = run_cli(*(str(arg).format(bad=bad) for arg in args), cwd=tmp_path)
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr == f"error: non-ASCII byte 0xff at offset {len(data)}\n"
+
+
 def test_mismatched_ciphertext_exit_2(tmp_path):
     key = tmp_path / "other.key"
     assert run_cli("keygen", "--m", 1, "--lambda", 16, "--seed", 1,

@@ -18,21 +18,17 @@ from matfhe.cipher import Ciphertext, dec, enc4, enc8
 from matfhe.formats import (
     MalformedFileError,
     _parse_int_list,
-    entries_text,
     matrix_from_text,
     parse_ciphertext,
     parse_key,
-    parse_keyset,
     read_ciphertext,
     read_key,
     serialize_ciphertext,
     serialize_key,
-    serialize_keyset,
     write_ciphertext,
     write_key,
 )
-from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
-from matfhe.matrix import mat_mul
+from matfhe.keys import keygen4, keygen8
 
 from conftest import FIXTURE_DIR
 from known_answers import CT_A, KA, KA_INV, MOD, N
@@ -188,29 +184,6 @@ def test_ciphertext_round_trip_dim8():
     assert parsed == ct
 
 
-def test_keyset_round_trip():
-    keyset = keyset_gen(4, 3, 2, 16, random.Random(9))
-    text = serialize_keyset(keyset)
-    parsed = parse_keyset(text)
-    assert parsed.master.k == keyset.master.k
-    assert parsed.master.k_inv == keyset.master.k_inv
-    assert len(parsed.components) == 3
-    for got, want in zip(parsed.components, keyset.components):
-        assert got.k == want.k
-        assert got.k_inv == want.k_inv
-    assert parsed.modulus.f == keyset.modulus.f
-    assert not parsed.modulus.has_split
-    assert serialize_keyset(parsed) == text
-
-
-def test_keyset_field_order():
-    keyset = keyset_gen(4, 2, 1, 8, random.Random(10))
-    lines = serialize_keyset(keyset)[:-1].split("\n")
-    prefixes = [line.split("=")[0] for line in lines[1:]]
-    assert prefixes == ["m", "lambda", "f", "N", "dim", "l",
-                        "k", "kinv", "k1", "kinv1", "k2", "kinv2"]
-
-
 def test_file_helpers_round_trip(tmp_path, key_a, ct_a):
     key_path = tmp_path / "a.key"
     ct_path = tmp_path / "a.ct"
@@ -221,6 +194,18 @@ def test_file_helpers_round_trip(tmp_path, key_a, ct_a):
     assert ct.body == CT_A
     # Bytes on disk match the serializers exactly (LF endings survive).
     assert key_path.read_bytes() == serialize_key(key_a).encode("ascii")
+
+
+@pytest.mark.parametrize("read,name", [
+    (read_key, "key_a.key"), (read_ciphertext, "ct_a_257.ct"),
+], ids=["key", "ciphertext"])
+def test_non_ascii_byte_is_malformed(tmp_path, read, name):
+    data = fixture_bytes(name)
+    path = tmp_path / name
+    path.write_bytes(data + b"\xff")
+    with pytest.raises(MalformedFileError,
+                       match=f"^non-ASCII byte 0xff at offset {len(data)}$"):
+        read(path)
 
 
 def test_serialize_ciphertext_rejects_foreign_modulus(ct_a):
@@ -435,37 +420,6 @@ def test_cross_parser_headers_rejected():
         parse_key(fixture_text("ct_a_257.ct"))
     with pytest.raises(MalformedFileError, match="bad header"):
         parse_ciphertext(fixture_text("key_a.key"))
-    with pytest.raises(MalformedFileError, match="bad header"):
-        parse_keyset(fixture_text("key_a.key"))
-
-
-def test_malformed_keyset_rejected():
-    keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
-    text = serialize_keyset(keyset)
-    with pytest.raises(MalformedFileError, match="at least two"):
-        parse_keyset(mutate_line(text, "l=", "l=1"))
-    with pytest.raises(MalformedFileError, match="unexpected end"):
-        parse_keyset(mutate_line(text, "l=", "l=3"))
-    with pytest.raises(MalformedFileError, match="bad l"):
-        parse_keyset(mutate_line(text, "l=", "l=x"))
-    # A dimension outside the key dimensions is refused as a file error,
-    # even when every matrix line holds the entries that dimension needs.
-    small = mutate_line(text, "dim=", "dim=2")
-    for name in ("k", "kinv", "k1", "kinv1", "k2", "kinv2"):
-        small = mutate_line(small, name + "=", name + "=1,0,0,1")
-    with pytest.raises(MalformedFileError, match="bad key dimension 2"):
-        parse_keyset(small)
-    # Dropping the last component line leaves the reader starved.
-    truncated = "\n".join(text[:-1].split("\n")[:-1]) + "\n"
-    with pytest.raises(MalformedFileError, match="unexpected end"):
-        parse_keyset(truncated)
-
-
-def test_keyset_with_a_huge_count_is_refused():
-    keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
-    text = mutate_line(serialize_keyset(keyset), "l=", f"l={10**12}")
-    with pytest.raises(MalformedFileError, match="unexpected end of file"):
-        parse_keyset(text)
 
 
 def test_structure_is_checked_before_values():
@@ -483,18 +437,6 @@ def test_structure_is_checked_before_values():
 def test_integer_too_long_to_convert_is_malformed(wreck, match):
     with pytest.raises(MalformedFileError, match=match):
         parse_key(wreck(fixture_text("key_a.key")))
-
-
-def test_keyset_with_swapped_components_rejected():
-    keyset = keyset_gen(4, 2, 1, 8, random.Random(11))
-    k1, k2 = keyset.components
-    assert mat_mul(k2.k, k1.k) != keyset.master.k
-    swapped = serialize_keyset(keyset)
-    for i, kt in ((1, k2), (2, k1)):
-        for name, mat in ((f"k{i}=", kt.k), (f"kinv{i}=", kt.k_inv)):
-            swapped = mutate_line(swapped, name, name + entries_text(mat))
-    with pytest.raises(MalformedFileError, match="master key is not the product"):
-        parse_keyset(swapped)
 
 
 def test_malformed_error_is_value_error():
