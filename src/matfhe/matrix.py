@@ -1,17 +1,19 @@
 """Square matrices over Z_N with exact arithmetic.
 
 Entries outgrow machine words once N passes 64 bits, so everything stays in
-plain Python integers. Matrices are immutable; arithmetic returns new
-instances. Invertibility over Z_N for composite N is the gcd test of
-the determinant, not mere nonzero-ness.
+plain Python integers. A Matrix is an immutable record (a named tuple);
+arithmetic returns new ones. Invertibility over Z_N for composite N is the
+gcd test of the determinant, not mere nonzero-ness.
 """
 
 import math
+from collections import namedtuple
 from operator import add, mul, sub
 
-from .ring import GenerationError, NotInvertibleError, ParameterError
+from .ring import GenerationError, NotInvertibleError, ParameterError, _Record
 
 ALLOWED_DIMS = (2, 3, 4, 8)
+_tuple_new = tuple.__new__
 
 
 class MismatchError(ValueError):
@@ -25,20 +27,14 @@ def _check_shape(dim, modulus):
         raise ParameterError("modulus must be > 1")
 
 
-class Matrix:
+class Matrix(_Record, namedtuple("Matrix", "dim modulus entries")):
     """Immutable dim x dim matrix with entries reduced mod modulus.
 
     entries is a flat row-major tuple. The constructor trusts its arguments
     (hot paths build millions of these); use from_rows for validated
-    construction from outside input.
+    construction from outside input. Like every record, a matrix is the
+    tuple of its three fields: len(m) == 3, and iterating yields them.
     """
-
-    __slots__ = ("dim", "modulus", "entries")
-
-    def __init__(self, dim, modulus, entries):
-        self.dim = dim
-        self.modulus = modulus
-        self.entries = entries
 
     @classmethod
     def from_rows(cls, rows, modulus):
@@ -56,16 +52,10 @@ class Matrix:
 
     def __getitem__(self, index):
         i, j = index
-        return self.entries[i * self.dim + j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.dim == other.dim and self.modulus == other.modulus
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.dim, self.modulus, self.entries))
+        d = self.dim
+        if not (0 <= i < d and 0 <= j < d):
+            raise IndexError(f"index {index} outside a {d}x{d} matrix")
+        return self.entries[i * d + j]
 
     def __add__(self, other):
         return mat_add(self, other)
@@ -75,6 +65,15 @@ class Matrix:
 
     def __mul__(self, other):
         return mat_mul(self, other)
+
+    # A plain tuple would concatenate (1,) + m and repeat 3 * m.
+    def __radd__(self, other):
+        raise TypeError("unsupported operand type(s) for +: "
+                        f"'{type(other).__name__}' and 'Matrix'")
+
+    def __rmul__(self, other):
+        raise TypeError("unsupported operand type(s) for *: "
+                        f"'{type(other).__name__}' and 'Matrix'")
 
     def __repr__(self):
         return f"Matrix({self.dim}, {self.modulus}, {list(self.rows())})"
@@ -104,57 +103,45 @@ def _check_pair(a, b):
 def mat_add(a, b):
     """Entrywise sum mod N.
 
-    The dim 4 path is unrolled and assembles the result object directly:
-    addition is the cheap half of the evaluator workload (16 word additions
-    per ciphertext sum) and per-call overhead would eat most of that
-    advantage. Inputs are already reduced, so one conditional subtraction
-    replaces the division.
+    The dim 4 path is unrolled, with the pair check inline: addition is the
+    cheap half of the evaluator workload (16 word additions per ciphertext
+    sum) and per-call overhead would eat most of that advantage. Inputs are
+    already reduced, so one conditional subtraction replaces the division,
+    and tuple.__new__ builds the record past its Python constructor.
     """
-    _check_pair(a, b)
     n = a.modulus
-    if a.dim == 4:
+    if a.dim == 4 == b.dim and n == b.modulus:
         a0, a1, a2, a3, a4, a5, a6, a7, \
             a8, a9, a10, a11, a12, a13, a14, a15 = a.entries
         b0, b1, b2, b3, b4, b5, b6, b7, \
             b8, b9, b10, b11, b12, b13, b14, b15 = b.entries
-        s0 = a0 + b0
-        s1 = a1 + b1
-        s2 = a2 + b2
-        s3 = a3 + b3
-        s4 = a4 + b4
-        s5 = a5 + b5
-        s6 = a6 + b6
-        s7 = a7 + b7
-        s8 = a8 + b8
-        s9 = a9 + b9
-        s10 = a10 + b10
-        s11 = a11 + b11
-        s12 = a12 + b12
-        s13 = a13 + b13
-        s14 = a14 + b14
-        s15 = a15 + b15
-        out = Matrix.__new__(Matrix)
-        out.dim = 4
-        out.modulus = n
-        out.entries = (
-            s0 if s0 < n else s0 - n,
-            s1 if s1 < n else s1 - n,
-            s2 if s2 < n else s2 - n,
-            s3 if s3 < n else s3 - n,
-            s4 if s4 < n else s4 - n,
-            s5 if s5 < n else s5 - n,
-            s6 if s6 < n else s6 - n,
-            s7 if s7 < n else s7 - n,
-            s8 if s8 < n else s8 - n,
-            s9 if s9 < n else s9 - n,
-            s10 if s10 < n else s10 - n,
-            s11 if s11 < n else s11 - n,
-            s12 if s12 < n else s12 - n,
-            s13 if s13 < n else s13 - n,
-            s14 if s14 < n else s14 - n,
-            s15 if s15 < n else s15 - n,
-        )
-        return out
+        return _tuple_new(Matrix, (4, n, (
+            s if (s := a0 + b0) < n else s - n,
+            s if (s := a1 + b1) < n else s - n,
+            s if (s := a2 + b2) < n else s - n,
+            s if (s := a3 + b3) < n else s - n,
+            s if (s := a4 + b4) < n else s - n,
+            s if (s := a5 + b5) < n else s - n,
+            s if (s := a6 + b6) < n else s - n,
+            s if (s := a7 + b7) < n else s - n,
+            s if (s := a8 + b8) < n else s - n,
+            s if (s := a9 + b9) < n else s - n,
+            s if (s := a10 + b10) < n else s - n,
+            s if (s := a11 + b11) < n else s - n,
+            s if (s := a12 + b12) < n else s - n,
+            s if (s := a13 + b13) < n else s - n,
+            s if (s := a14 + b14) < n else s - n,
+            s if (s := a15 + b15) < n else s - n,
+        )))
+    return _mat_add(a, b)
+
+
+def _mat_add(a, b):
+    """mat_add at any other dim, or on a mismatched pair. Kept apart so that
+    mat_add reads n as a plain local: this generator's closure over n would
+    make it a cell there."""
+    _check_pair(a, b)
+    n = a.modulus
     return Matrix(a.dim, n, tuple(s if s < n else s - n
                                   for s in map(add, a.entries, b.entries)))
 

@@ -14,12 +14,13 @@ import random
 
 import pytest
 
+from matfhe.keys import KeyTuple
 from matfhe.matrix import (ALLOWED_DIMS, Matrix, MismatchError, determinant,
                            diagonal, identity, inverse, is_invertible,
                            mat_add, mat_mul, mat_sub, random_invertible)
 from matfhe.ring import GenerationError, NotInvertibleError
 
-from known_answers import KA, KA_INV, N
+from known_answers import KA, KA_INV, MOD, N
 
 
 def det_permutation_sum(rows):
@@ -94,6 +95,12 @@ class TestConstruction:
         assert m[0, 1] == 2
         assert m[1, 0] == 3
         assert m.rows() == ((1, 2), (3, 4))
+        # A column past either end is refused, not read from another row.
+        m4 = Matrix.from_rows([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12],
+                               [13, 14, 15, 16]], 97)
+        for index in ((0, 4), (0, -1), (1, 7)):
+            with pytest.raises(IndexError):
+                m4[index]
 
     def test_equality_and_hash(self):
         a = Matrix.from_rows([[1, 2], [3, 4]], 7)
@@ -103,6 +110,28 @@ class TestConstruction:
         assert hash(a) == hash(b)
         assert a != c
         assert a != "not a matrix"
+        fields = (a.dim, a.modulus, a.entries)
+        assert tuple(a) == fields
+        assert hash(a) == hash(fields)
+        assert a != fields and fields != a
+        assert not (a == fields or fields == a)
+        for name in ("dim", "modulus", "entries", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 3)
+        assert a == b
+        # As a tuple, 3 * a would repeat it and (1,) + a concatenate.
+        with pytest.raises(TypeError):
+            3 * a
+        with pytest.raises(TypeError):
+            (1,) + a
+        # Nor can a key's hash or its verify() be changed through its k
+        # (a copy of KA, so that no other test could see an edit).
+        key = KeyTuple(MOD, Matrix(*KA), KA_INV)
+        before = hash(key)
+        with pytest.raises(AttributeError):
+            key.k.entries = identity(4, N).entries
+        assert hash(key) == before
+        assert key.verify()
 
 
 class TestArithmetic:
