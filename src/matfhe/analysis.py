@@ -15,7 +15,7 @@ from .cipher import _draw_enc4, _draw_enc8, dec, enc4, encryption_diagonal
 from .keys import KeyTuple, compose
 from .matrix import (Matrix, determinant, diagonal, is_invertible, mat_mul,
                      mat_sub)
-from .ring import ParameterError, PlaintextRangeError, mod_inverse
+from .ring import ParameterError, _check_plaintexts, mod_inverse
 
 
 def invertibility_experiment(moduli, samples, repeats, rng, dim=4):
@@ -84,8 +84,7 @@ def kpa_collision_estimate(key, x, trials, rng):
         raise ParameterError("trials must be >= 1")
     modulus = key.modulus
     n = modulus.n
-    if not 0 <= x < n:
-        raise PlaintextRangeError(f"plaintext must lie in [0, {n})")
+    _check_plaintexts((x,), n)
     draw = _draw_enc4 if key.dim == 4 else _draw_enc8
     stream = draw(itertools.repeat(x, trials + 1), n, modulus.m, rng)
     first = next(stream)

@@ -21,7 +21,7 @@ from collections import namedtuple
 from operator import mul
 
 from .matrix import Matrix, _check_pair, mat_mul
-from .ring import ParameterError, PlaintextRangeError, _Record
+from .ring import ParameterError, _Record, _check_plaintexts
 
 
 class Ciphertext(_Record, namedtuple("Ciphertext", "body")):
@@ -133,8 +133,7 @@ def _encrypt(x, key, coins, dim):
     n, m = modulus.n, modulus.m
     if key.dim != dim:
         raise ParameterError(f"enc{dim} needs a dim {dim} key")
-    if not 0 <= x < n:
-        raise PlaintextRangeError(f"plaintext must lie in [0, {n})")
+    _check_plaintexts((x,), n)
     if not isinstance(coins, tuple):
         sample = sample_enc4_randomness if dim == 4 else sample_enc8_randomness
         coins = sample(x, modulus, coins)
@@ -150,7 +149,7 @@ def _encrypt(x, key, coins, dim):
         raise ValueError("need one slot row per factor")
     taken = [x]
     for b in coins[:-1]:
-        if not 0 <= b < n or b in taken:
+        if not (isinstance(b, int) and 0 <= b < n) or b in taken:
             raise ValueError("need distinct blinds in [0, n), none equal to x")
         taken.append(b)
     diag = encryption_diagonal(x, modulus, coins)

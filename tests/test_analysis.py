@@ -250,13 +250,14 @@ def test_cost_up_to_the_largest_float():
     assert brute_force_cost(biggest, 1) == sys.float_info.max
 
 
-@pytest.mark.parametrize("at", ["minus-1", "N"])
+@pytest.mark.parametrize("at", ["minus-1", "N", "3.0", "1.5"])
 @pytest.mark.parametrize("taker", ["enc4", "enc8", "run_protocol",
                                    "kpa_collision_estimate"])
 def test_plaintext_outside_0_n_raises_plaintext_range_error(key_a, taker,
                                                              at):
-    # Each function that takes a plaintext checks [0, N) before its first
-    # draw, with the ParameterError subclass the CLI maps to exit 5.
+    # Each function that takes a plaintext checks for an int in [0, N)
+    # before its first draw, with the ParameterError subclass the CLI maps
+    # to exit 5. A float, even an integral one, would encrypt to garbage.
     key8 = keygen8(1, 8, random.Random(11), candidates=(3, 5))
     keyset = keyset_gen(4, 3, 1, 8, random.Random(5))
     n, call = {
@@ -270,7 +271,7 @@ def test_plaintext_outside_0_n_raises_plaintext_range_error(key_a, taker,
     rng = random.Random(3)
     with pytest.raises(PlaintextRangeError,
                        match=rf"^plaintext must lie in \[0, {n}\)$") as info:
-        call(n if at == "N" else -1, rng)
+        call({"minus-1": -1, "N": n, "3.0": 3.0, "1.5": 1.5}[at], rng)
     assert isinstance(info.value, ParameterError)
     assert rng.random() == random.Random(3).random()
 

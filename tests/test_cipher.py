@@ -82,6 +82,7 @@ COIN_CHECKS = {
     "enc4-blind-is-x": (4, (5, (1, 2)), BLINDS),
     "enc4-blind-is-n": (4, (N, (1, 2)), BLINDS),
     "enc4-blind-negative": (4, (-1, (1, 2)), BLINDS),
+    "enc4-blind-float": (4, (9.0, (1, 2)), BLINDS),
     "enc8-two-part": (8, (9, (ROW8, ROW8)), SHAPE),
     "enc8-all-x-row": (8, (9, 10, (("x",) * 7, ROW8)), ARRANGE),
     "enc8-six-slot-row": (8, (9, 10, (ROW8, ROW8[:6])), ARRANGE),
@@ -89,6 +90,7 @@ COIN_CHECKS = {
     "enc8-r1-is-x": (8, (5, 10, (ROW8, ROW8)), BLINDS),
     "enc8-r2-is-r1": (8, (9, 9, (ROW8, ROW8)), BLINDS),
     "enc8-r2-is-n": (8, (9, N, (ROW8, ROW8)), BLINDS),
+    "enc8-r2-float": (8, (9, 10.0, (ROW8, ROW8)), BLINDS),
 }
 
 

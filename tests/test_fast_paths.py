@@ -11,7 +11,9 @@ matrix products, the full recovered diagonal, and folding every trial.
 Encryption's raw rng draws, one lazy stream for many plaintexts, are
 checked against coins sampled one plaintext at a time. Key
 generation's row screen keeps its rows at a common scale and is checked
-against the screen that divides each row by its pivot. The
+against the screen that divides each row by its pivot. Elimination over
+Z_N, which folds the rows below a diagonal entry that is no unit, is
+checked against the elimination that swapped a unit row up. The
 formula parser, bare string tokens and one precedence-climbing loop, is
 checked against the character-loop parser with separate expr and term
 rules: same trees, same errors. The protocol's owner, which encrypts only
@@ -39,13 +41,13 @@ from matfhe.evaluate import (MAX_DEPTH, BinOp, CipherEnv, Const,
 from matfhe.formats import parse_key, serialize_key
 from matfhe.keys import KeyTuple, keygen4, keygen8, keyset_gen
 from matfhe import matrix
-from matfhe.matrix import (MismatchError, diagonal, identity, inverse,
-                           mat_mul, random_invertible)
+from matfhe.matrix import (Matrix, MismatchError, determinant, diagonal,
+                           identity, inverse, mat_mul, random_invertible)
 from matfhe.protocol import (DataRequest, EvalResult, FormulaAnnouncement,
                              MappedResult, MaskedOperand, Message, Role,
                              Transcript, run_protocol, serialize_transcript)
-from matfhe.ring import (GenerationError, ParameterError, crt_solve,
-                         generate_coprime_set)
+from matfhe.ring import (GenerationError, NotInvertibleError, ParameterError,
+                         crt_solve, generate_coprime_set)
 
 from conftest import EntryRng
 from known_answers import KA, KA_INV, MOD
@@ -710,6 +712,99 @@ def test_screen_at_protocol_key_size_is_the_normalized_screen():
             assert (mat.entries, inv.entries) == \
                 normalized_screen_pair(4, n, oracle)
             assert rng.random() == oracle.random()
+
+
+def frozen_eliminate(m, n):
+    """_eliminate with two pivot rules: the first unit at or below row k is
+    swapped up, flipping det's sign, and Bezout steps fold the rows below
+    only where the column holds no unit."""
+    d = len(m)
+    det = 1
+    for k in range(d):
+        unit = k if math.gcd(m[k][k], n) == 1 else next(
+            (i for i in range(k + 1, d) if math.gcd(m[i][k], n) == 1), None)
+        if unit is None:
+            for i in range(k + 1, d):
+                x, y = m[k][k], m[i][k]
+                if y:
+                    g = math.gcd(x, y)
+                    s = pow(x // g, -1, y // g)
+                    t = (g - s * x) // y
+                    top, row = m[k], m[i]
+                    m[k] = [(s * a + t * b) % n for a, b in zip(top, row)]
+                    m[i] = [(x // g * b - y // g * a) % n
+                            for a, b in zip(top, row)]
+        elif unit != k:
+            m[k], m[unit] = m[unit], m[k]
+            det = -det
+        pivot_row = m[k]
+        p = pivot_row[k]
+        det = det * p % n
+        if math.gcd(p, n) != 1:
+            continue
+        inv = pow(p, -1, n)
+        pivot_row[k + 1:] = tail = [x * inv % n for x in pivot_row[k + 1:]]
+        for row in m:
+            c = row[k]
+            if c and row is not pivot_row:
+                row[k + 1:] = [(x - c * y) % n
+                               for x, y in zip(row[k + 1:], tail)]
+    return det
+
+
+class TestOnePivotRule:
+    """_eliminate has one pivot rule, a Bezout fold of the rows below a
+    diagonal entry that is no unit, against the frozen elimination that
+    swapped the first unit below it up: the same det, the same inverse and
+    the same refusal, as each is unique mod N."""
+
+    # Small moduli with many non-units, then two keygen moduli each at
+    # lambda=16 and lambda=256.
+    MODULI = (6, 9, 30, 1155) + tuple(
+        generate_coprime_set(2, bits, random.Random(seed)).n
+        for bits in (16, 256) for seed in (1, 2))
+
+    @staticmethod
+    def assert_same_as_frozen(a):
+        n, d = a.modulus, a.dim
+        frozen = [list(row) + [int(i == j) for j in range(d)]
+                  for i, row in enumerate(a.rows())]
+        det = frozen_eliminate(frozen, n)
+        assert determinant(a) == det
+        g = math.gcd(det, n)
+        if g == 1:
+            assert inverse(a).entries == tuple(x for row in frozen
+                                               for x in row[d:])
+        else:
+            with pytest.raises(NotInvertibleError) as info:
+                inverse(a)
+            err = info.value
+            assert (err.value, err.modulus, err.gcd) == (det, n, g)
+
+    def test_det_inverse_and_refusal_equal_the_frozen_copy(self):
+        swapped = 0  # inputs whose column 0 took the frozen copy's swap
+        for n in self.MODULI:
+            for dim in (2, 3, 4, 8):
+                rng = random.Random(f"{n}-{dim}")
+                for _ in range(40):
+                    a = Matrix(dim, n, tuple(rng.randrange(n)
+                                             for _ in range(dim * dim)))
+                    column = a.entries[::dim]
+                    if math.gcd(column[0], n) != 1 and any(
+                            math.gcd(x, n) == 1 for x in column[1:]):
+                        swapped += 1
+                    self.assert_same_as_frozen(a)
+        assert swapped >= 100
+
+    @pytest.mark.parametrize("rows, want", (
+        # No entry is a unit mod 6, yet det = -5 is: its own inverse.
+        (((2, 3), (3, 2)), ((2, 3), (3, 2))),
+        # A diagonal 3 over a unit 1: the fold, where a swap once was.
+        (((3, 1), (1, 0)), ((0, 1), (1, 3)))))
+    def test_hand_cases_mod_6(self, rows, want):
+        a = Matrix.from_rows(rows, 6)
+        assert inverse(a) == Matrix.from_rows(want, 6)
+        self.assert_same_as_frozen(a)
 
 
 def frozen_parse_expr(text):
